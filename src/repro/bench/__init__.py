@@ -170,19 +170,10 @@ def measure_throughput(frames: int = DEFAULT_FRAMES,
     optimizer), kept measurable so the optimizer's contribution stays an
     explicit number in the perf trajectory.
     """
-    from ..engine.xp import device_array_module
-
     program, trains = mlp_bench_case(frames=frames, timesteps=timesteps)
-    device = device_array_module()
     if check_parity:
-        parity_backends: List = [
-            "reference", "vectorized",
-            ("vectorized-fused", "vectorized", {"executor": "fused"}),
-            "sharded",
-        ]
-        if device is not None:
-            parity_backends.append(("gpu", "gpu", {"module": device}))
-        assert_backend_parity(program, trains, backends=parity_backends)
+        assert_backend_parity(program, trains,
+                              backends=("reference", "vectorized", "sharded"))
     sharded_workers = resolve_worker_count()
     sharded_shards = max(1, min(sharded_workers, frames))
     seconds = {
@@ -192,13 +183,8 @@ def measure_throughput(frames: int = DEFAULT_FRAMES,
                                                repeats=repeats, optimize=False),
         "vectorized": time_backend("vectorized", program, trains,
                                    repeats=repeats),
-        "vectorized-fused": time_backend("vectorized", program, trains,
-                                         repeats=repeats, executor="fused"),
         "sharded": time_backend("sharded", program, trains, repeats=repeats),
     }
-    if device is not None:
-        seconds["gpu"] = time_backend("gpu", program, trains, repeats=repeats,
-                                      module=device)
     backends = {
         name: {"seconds": value, "frames_per_sec": frames / value}
         for name, value in seconds.items()
@@ -215,8 +201,6 @@ def measure_throughput(frames: int = DEFAULT_FRAMES,
                 seconds["reference"] / seconds["vectorized"],
             "optimized_vs_unoptimized":
                 seconds["vectorized_unoptimized"] / seconds["vectorized"],
-            "fused_vs_vectorized":
-                seconds["vectorized"] / seconds["vectorized-fused"],
             "sharded_vs_vectorized":
                 seconds["vectorized"] / seconds["sharded"],
         },
@@ -989,32 +973,6 @@ def check_regression(current: Dict[str, object], committed: Dict[str, object],
     return failures
 
 
-def check_fused_floor(current: Dict[str, object],
-                      committed: Dict[str, object]) -> List[str]:
-    """Gate: the fused executor must beat the committed plain-vectorized rate.
-
-    The fused CPU plan exists purely for speed — it is bit-exact by
-    contract — so the trajectory requires the freshly measured
-    ``vectorized-fused`` frames/sec to stay at or above the *committed*
-    ``vectorized`` frames/sec.  Falling below means the fusion stopped
-    paying for itself and the gate fails.  Either row missing (e.g. a
-    trajectory from before the fused executor existed) skips the gate.
-    """
-    fresh = current.get("backends", {}).get("vectorized-fused")
-    baseline = committed.get("backends", {}).get("vectorized")
-    if not fresh or not baseline:
-        return []
-    measured = float(fresh["frames_per_sec"])
-    floor = float(baseline["frames_per_sec"])
-    if measured < floor:
-        return [
-            f"vectorized-fused: {measured:.1f} frames/s below the committed "
-            f"plain vectorized {floor:.1f} — the fused executor must not be "
-            "slower than the interpreter it replaces"
-        ]
-    return []
-
-
 def load_bench_report(path: Optional[os.PathLike] = None) -> Dict[str, object]:
     """Load the committed BENCH_engine.json trajectory (raises if unusable)."""
     target = Path(path) if path is not None else Path.cwd() / BENCH_FILENAME
@@ -1058,15 +1016,10 @@ def write_bench_report(sections: Dict[str, object],
             payload = json.loads(target.read_text())
         except (OSError, json.JSONDecodeError):
             payload = {}
-    from ..engine.xp import detected_array_modules
-
     payload["schema"] = 1
     payload["git_rev"] = git_revision()
     payload["cpu_count"] = os.cpu_count() or 1
     payload["generated_unix"] = time.time()
-    # which optional array modules the measuring machine could import
-    # (null = absent), so a trajectory row like "gpu" is interpretable
-    payload["array_modules"] = detected_array_modules()
     payload.update(sections)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target

@@ -23,7 +23,6 @@ from . import (
     METRICS_FRAMES,
     OBS_FIRING_FRAMES,
     OBS_FIRING_TIMESTEPS,
-    check_fused_floor,
     check_metrics_regression,
     check_noc_regression,
     check_obs_regression,
@@ -45,17 +44,11 @@ from . import (
 
 
 def _print_throughput(throughput, frames: int, timesteps: int) -> None:
-    from ..engine.xp import detected_array_modules
-
     print(f"engine throughput ({frames} frames x {timesteps} steps):")
     for name, row in throughput["backends"].items():
         print(f"  {name:<24} {row['frames_per_sec']:>10.1f} frames/s")
     for name, value in throughput.get("speedups", {}).items():
         print(f"  {name:<36} {value:.2f}x")
-    detected = detected_array_modules()
-    print("  array modules: " + "  ".join(
-        f"{name}={version or 'absent'}"
-        for name, version in sorted(detected.items())))
 
 
 def _print_noc(noc) -> None:
@@ -191,7 +184,6 @@ def run_check(args) -> int:
     _print_throughput(throughput, frames, timesteps)
     failures = check_regression(throughput, committed_throughput,
                                 tolerance=args.tolerance)
-    failures += check_fused_floor(throughput, committed_throughput)
     committed_noc = committed.get("noc")
     if isinstance(committed_noc, dict) and not args.skip_noc:
         noc = measure_noc(

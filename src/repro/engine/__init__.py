@@ -12,19 +12,13 @@ bit-exact backends:
   simultaneously;
 * ``sharded`` — splits the batch's frame axis across worker processes, each
   running the same optimized schedule (:mod:`repro.engine.sharded`);
-* ``gpu`` — runs the identical optimized schedule on a pluggable array
-  module (cupy or torch, :mod:`repro.engine.gpu`); always registered,
-  available only when one of those optional packages imports;
 * ``auto`` — picks one of the above from the batch size
   (:mod:`repro.engine.auto`): ``reference`` for 1-frame debug runs,
-  ``vectorized`` for small batches, ``sharded`` above a threshold, ``gpu``
-  for large batches when a real accelerator is present.
+  ``vectorized`` for small batches, ``sharded`` above a threshold.
 
-The ``vectorized`` and ``sharded`` backends additionally accept an
-``executor`` option (``"plain"``, ``"fused"``, or ``"numba"``): ``fused``
-compiles the optimized schedule into a buffer-reusing fused kernel plan
-(:mod:`repro.engine.kernels`) that is bit-exact with the plain interpreter
-but substantially faster on CPU.
+A lowered schedule runs one way: the ``vectorized`` backend and the
+``sharded`` workers interpret its ops (``schedule.ops``) on numpy arrays
+(:func:`~repro.engine.vectorized.execute_schedule`).
 
 Typical use::
 
@@ -51,26 +45,29 @@ import numpy as np
 from ..core.simulator import SimulationResult
 from ..mapping.program import Program
 from .base import EngineError, ExecutionBackend
-from .lowering import BatchState, ClearPlan, LoweredSchedule, LoweringError, lower_program
+from .lowering import (
+    BatchState,
+    ClearPlan,
+    LoweredSchedule,
+    LoweringError,
+    kernel_class_counts,
+    lower_program,
+)
 from .optimize import optimize_schedule
 from .parity import ParityError, ParityReport, assert_backend_parity, run_backends
 from .registry import (
     DEFAULT_BACKEND,
-    backend_available,
     create_backend,
     get_backend,
     list_backends,
     register_backend,
 )
-from .kernels import ExecutionPlan, compile_plan, kernel_class_counts
-from .xp import ArrayModule, detected_array_modules, ensure_host, get_array_module
 
 # Importing the backend modules registers them.
 from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend, execute_schedule
 from .sharded import ShardedBackend, resolve_worker_count
 from .auto import AutoBackend, DEGRADATION_CHAIN, next_fallback, select_backend_name
-from .gpu import GpuBackend
 
 
 class ExecutionEngine:
@@ -199,7 +196,6 @@ def run(program: Program, spike_trains: np.ndarray,
 
 
 __all__ = [
-    "ArrayModule",
     "AutoBackend",
     "BatchState",
     "ClearPlan",
@@ -208,8 +204,6 @@ __all__ = [
     "EngineError",
     "ExecutionBackend",
     "ExecutionEngine",
-    "ExecutionPlan",
-    "GpuBackend",
     "LoweredSchedule",
     "LoweringError",
     "ParityError",
@@ -218,13 +212,8 @@ __all__ = [
     "ShardedBackend",
     "VectorizedBackend",
     "assert_backend_parity",
-    "backend_available",
-    "compile_plan",
     "create_backend",
-    "detected_array_modules",
-    "ensure_host",
     "execute_schedule",
-    "get_array_module",
     "get_backend",
     "kernel_class_counts",
     "list_backends",

@@ -8,8 +8,6 @@ trace is the ground truth and construction is cheap), batched sweeps want
 delegates are bit-exact, so the choice is purely about speed:
 
 * ``frames <= reference_max_frames`` (default 1) -> ``reference``;
-* ``frames >= gpu_min_frames`` (default 512) **and** a real accelerator is
-  present (:func:`repro.engine.xp.device_array_module`) -> ``gpu``;
 * ``frames < sharded_min_frames`` (default 256), or fewer than two usable
   workers -> ``vectorized``;
 * otherwise -> ``sharded``.
@@ -52,38 +50,21 @@ DEFAULT_SHARDED_MIN_FRAMES = 256
 #: default largest batch still sent to the cycle-level interpreter
 DEFAULT_REFERENCE_MAX_FRAMES = 1
 
-#: default smallest batch worth the device-transfer overhead of ``gpu``
-DEFAULT_GPU_MIN_FRAMES = 512
-
 #: fallback order on ResilienceError: each backend degrades to the next
-#: (``gpu`` is not in the chain: it raises deterministic errors, not
-#: supervision-level ones, so there is nothing to degrade from)
 DEGRADATION_CHAIN = ("sharded", "vectorized", "reference")
 
 
 def select_backend_name(frames: int,
                         reference_max_frames: int = DEFAULT_REFERENCE_MAX_FRAMES,
                         sharded_min_frames: int = DEFAULT_SHARDED_MIN_FRAMES,
-                        workers: Optional[int] = None,
-                        gpu_min_frames: int = DEFAULT_GPU_MIN_FRAMES,
-                        device: Optional[bool] = None) -> str:
+                        workers: Optional[int] = None) -> str:
     """The backend ``auto`` picks for a ``frames``-sized batch.
 
     Exposed separately so tools (and tests) can inspect the policy without
-    building any backend.  ``device`` forces the accelerator-present answer
-    (tests); ``None`` detects via
-    :func:`repro.engine.xp.device_array_module` — a real accelerator, not
-    merely an importable library, since a CPU-tensor ``gpu`` run would be a
-    slowdown.
+    building any backend.
     """
     if 0 < frames <= reference_max_frames:
         return "reference"
-    if device is None:
-        from .xp import device_array_module
-
-        device = device_array_module() is not None
-    if device and frames >= gpu_min_frames:
-        return "gpu"
     if frames < sharded_min_frames or resolve_worker_count(workers) < 2:
         return "vectorized"
     return "sharded"
@@ -112,16 +93,11 @@ class AutoBackend(ExecutionBackend):
                  workers: Optional[int] = None,
                  policy: Optional[RunPolicy] = None,
                  faults: Optional[FaultPlan] = None,
-                 strict: bool = False,
-                 gpu_min_frames: int = DEFAULT_GPU_MIN_FRAMES,
-                 device: Optional[bool] = None):
+                 strict: bool = False):
         super().__init__(program, collect_stats=collect_stats)
         self.reference_max_frames = reference_max_frames
         self.sharded_min_frames = sharded_min_frames
         self.workers = workers
-        self.gpu_min_frames = gpu_min_frames
-        #: accelerator-present override (None = detect per selection)
-        self.device = device
         #: supervision policy forwarded to the sharded delegate
         self.policy = policy
         #: fault plan forwarded to the sharded delegate (tests only)
@@ -144,8 +120,6 @@ class AutoBackend(ExecutionBackend):
             reference_max_frames=self.reference_max_frames,
             sharded_min_frames=self.sharded_min_frames,
             workers=self.workers,
-            gpu_min_frames=self.gpu_min_frames,
-            device=self.device,
         )
 
     def delegate(self, name: str) -> ExecutionBackend:

@@ -56,17 +56,6 @@ class ExecutionBackend(abc.ABC):
         self.program = program
         self.collect_stats = collect_stats
 
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can run in the current environment.
-
-        Registration is unconditional — every backend name is always
-        listable — but a backend whose optional dependency or device is
-        absent (e.g. ``gpu`` without cupy/torch) reports ``False`` here and
-        raises a descriptive error from its constructor.
-        """
-        return True
-
     @abc.abstractmethod
     def run(self, spike_trains: np.ndarray,
             probes=None, metrics=None) -> SimulationResult:

@@ -30,7 +30,7 @@ reference interpreter uses (:class:`~repro.core.neuron_core.NeuronCoreError`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from ..core.stats import ExecutionStats, OpCount
 from ..core.tile import TileCoordinate
 from ..mapping.program import Program
 from .base import EngineError
-from .xp import NUMPY, ArrayModule
 
 
 class LoweringError(EngineError):
@@ -68,9 +67,8 @@ def weight_bounds(weights: np.ndarray) -> Tuple[int, int]:
     is the sum of that lane's negative weights and the most positive is the
     sum of its positive weights.  The returned interval is the hull over all
     lanes, widened to include 0 (the no-spike case), as exact Python ints.
-    The fused executor (:mod:`repro.engine.kernels`) and the per-op ``check``
-    flags use this to elide run-time overflow scans that provably cannot
-    fire.
+    The accumulate ops' ``check`` flags use this to elide run-time overflow
+    scans that provably cannot fire.
     """
     w = np.asarray(weights, dtype=np.int64)
     if w.size == 0:
@@ -80,14 +78,6 @@ def weight_bounds(weights: np.ndarray) -> Tuple[int, int]:
     return min(lo, 0), max(hi, 0)
 
 
-def _nonempty(array) -> bool:
-    """Portable ``array.size > 0`` (torch tensors have no ``size`` int)."""
-    for dim in array.shape:
-        if not dim:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Batched run-time state
 # ----------------------------------------------------------------------
@@ -95,55 +85,40 @@ class BatchState:
     """Per-run dense state: one array row per frame of the batch.
 
     Tile state is indexed by *slot* (a dense renumbering of the tiles the
-    program touches); packet registers are indexed by the register number the
+    program touches); packet registers are keyed by the register number the
     lowering assigned.  ``local_ps`` and ``potential`` persist across time
     steps (matching ``NeuronCore``/``SpikeRouter``); the rest is cleared by
     :meth:`begin_timestep`.
 
-    Registers have static widths and dtypes (``reg_nets`` records each
-    register's NoC: ``"ps"`` carries int64 partial sums, ``"spike"`` booleans),
-    so when the net map is known the packet registers are allocated once here
-    and the packet ops zero-fill and scatter in place instead of building a
-    fresh dense array every time step.  All arrays are allocated through the
-    ``xp`` array module (numpy by default), which is how the identical
-    schedule runs on cupy or torch.
+    ``registers`` maps each register some op of the schedule reads or
+    writes to its NoC (``"ps"`` carries int64 partial sums, ``"spike"``
+    booleans).  Those registers are allocated once here and the packet ops
+    zero-fill and scatter in place; registers the optimizer fused away are
+    never allocated.
     """
 
     __slots__ = ("axons", "local_ps", "sum_buf", "weighted", "potential",
-                 "spike_reg", "regs", "inputs", "active_axons", "xp",
-                 "buf", "_scratch")
+                 "spike_reg", "regs", "inputs", "active_axons", "_scratch")
 
-    def __init__(self, batch: int, n_slots: int, n_regs: int,
-                 core_inputs: int, core_neurons: int,
-                 reg_nets: Tuple[str, ...] = (),
-                 xp: Optional[ArrayModule] = None):
-        if xp is None:
-            xp = NUMPY
-        self.xp = xp
-        self.axons = [xp.zeros((batch, core_inputs), xp.bool_) for _ in range(n_slots)]
-        self.local_ps = [xp.zeros((batch, core_neurons), xp.int64) for _ in range(n_slots)]
-        self.sum_buf = [xp.zeros((batch, core_neurons), xp.int64) for _ in range(n_slots)]
-        self.weighted = [xp.zeros((batch, core_neurons), xp.int64) for _ in range(n_slots)]
-        self.potential = [xp.zeros((batch, core_neurons), xp.int64) for _ in range(n_slots)]
-        self.spike_reg = [xp.zeros((batch, core_neurons), xp.bool_) for _ in range(n_slots)]
-        if len(reg_nets) == n_regs:
-            self.regs: List[Optional[np.ndarray]] = [
-                xp.zeros((batch, core_neurons),
-                         xp.int64 if net == "ps" else xp.bool_)
-                for net in reg_nets
-            ]
-        else:
-            # net map unknown (hand-built schedule): packet ops fall back to
-            # allocating fresh arrays, exactly as before
-            self.regs = [None] * n_regs
+    def __init__(self, batch: int, n_slots: int, core_inputs: int,
+                 core_neurons: int, registers: Dict[int, str]):
+        self.axons = [np.zeros((batch, core_inputs), np.bool_) for _ in range(n_slots)]
+        self.local_ps = [np.zeros((batch, core_neurons), np.int64) for _ in range(n_slots)]
+        self.sum_buf = [np.zeros((batch, core_neurons), np.int64) for _ in range(n_slots)]
+        self.weighted = [np.zeros((batch, core_neurons), np.int64) for _ in range(n_slots)]
+        self.potential = [np.zeros((batch, core_neurons), np.int64) for _ in range(n_slots)]
+        self.spike_reg = [np.zeros((batch, core_neurons), np.bool_) for _ in range(n_slots)]
+        self.regs: Dict[int, np.ndarray] = {
+            reg: np.zeros((batch, core_neurons),
+                          np.int64 if net == "ps" else np.bool_)
+            for reg, net in registers.items()
+        }
         self.inputs: Optional[np.ndarray] = None
         #: spiking axons observed by ACC ops, per frame (int64 vector of
         #: length ``batch``) — the only data-dependent statistic, kept
         #: frame-resolved so a coalesced batch can be split back into
         #: per-frame results bit-identically (:mod:`repro.serve`)
-        self.active_axons = xp.zeros((batch,), xp.int64)
-        #: fused-plan working buffers (set by the executor from the plan)
-        self.buf: List[np.ndarray] = []
+        self.active_axons = np.zeros((batch,), np.int64)
         self._scratch: Dict[object, np.ndarray] = {}
 
     def scratch(self, key: object, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -155,7 +130,7 @@ class BatchState:
         """
         buffer = self._scratch.get(key)
         if buffer is None:
-            buffer = self.xp.zeros(shape, dtype)
+            buffer = np.zeros(shape, dtype)
             self._scratch[key] = buffer
         return buffer
 
@@ -196,8 +171,27 @@ class LoweredOp:
     def run(self, st: BatchState) -> None:
         raise NotImplementedError
 
+    def registers(self) -> Tuple[int, ...]:
+        """The packet registers this op reads or writes."""
+        return ()
+
     def describe(self) -> str:  # pragma: no cover - cosmetic
         return type(self).__name__
+
+
+def kernel_class_counts(ops: Sequence[LoweredOp]) -> Dict[str, int]:
+    """Op-class composition of an op list (e.g. ``schedule.ops``).
+
+    Keys are op class names, matching the ``kernels/<Op>`` histogram
+    buckets :func:`~repro.engine.vectorized.execute_schedule` records, so
+    tooling can pair the static schedule composition with measured
+    per-class wall-clock cost.  Sorted by name for deterministic output.
+    """
+    counts: Dict[str, int] = {}
+    for op in ops:
+        name = type(op).__name__
+        counts[name] = counts.get(name, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 class InjectInput(LoweredOp):
@@ -240,10 +234,10 @@ class Accumulate(LoweredOp):
 
     def run(self, st: BatchState) -> None:
         axons = st.axons[self.slot]
-        cast = st.scratch(("acc", self.slot), axons.shape, st.xp.int64)
-        st.xp.copyto(cast, axons)
+        cast = st.scratch(("acc", self.slot), axons.shape, np.int64)
+        np.copyto(cast, axons, casting="unsafe")
         sums = cast @ self.weights
-        if self.check and _nonempty(sums) and (
+        if self.check and sums.size and (
                 sums.min() < self.ps_min or sums.max() > self.ps_max):
             # same error class as NeuronCore.accumulate in the reference path
             raise NeuronCoreError(
@@ -280,7 +274,7 @@ class PsAdd(LoweredOp):
         if self.add:
             base = st.sum_buf[self.slot] if self.consecutive else st.local_ps[self.slot]
             values = base[:, self.idx] + incoming
-            if _nonempty(values) and (values.min() < self.ps_min or values.max() > self.ps_max):
+            if values.size and (values.min() < self.ps_min or values.max() > self.ps_max):
                 # same error class as PsRouter.op_sum in the reference path
                 raise PsRouterError(
                     f"PS router at tile {self.where}: partial-sum overflow "
@@ -291,51 +285,48 @@ class PsAdd(LoweredOp):
         st.sum_buf[self.slot][:, self.idx] = values
         st.weighted[self.slot][:, self.idx] = values
 
+    def registers(self) -> Tuple[int, ...]:
+        return (self.reg,)
+
 
 class MakePsPacket(LoweredOp):
     """``SEND`` on the PS NoC — snapshot selected lanes into a packet register."""
 
-    __slots__ = ("slot", "reg", "idx", "use_sum_buf", "width")
+    __slots__ = ("slot", "reg", "idx", "use_sum_buf")
 
-    def __init__(self, slot: int, reg: int, idx: np.ndarray, use_sum_buf: bool,
-                 width: int):
+    def __init__(self, slot: int, reg: int, idx: np.ndarray, use_sum_buf: bool):
         self.slot = slot
         self.reg = reg
         self.idx = idx
         self.use_sum_buf = use_sum_buf
-        self.width = width
 
     def run(self, st: BatchState) -> None:
         source = st.sum_buf[self.slot] if self.use_sum_buf else st.local_ps[self.slot]
         dense = st.regs[self.reg]
-        if dense is None:
-            dense = st.xp.zeros((source.shape[0], self.width), st.xp.int64)
-            st.regs[self.reg] = dense
-        else:
-            dense[:] = 0
+        dense[:] = 0
         dense[:, self.idx] = source[:, self.idx]
+
+    def registers(self) -> Tuple[int, ...]:
+        return (self.reg,)
 
 
 class MakeSpikePacket(LoweredOp):
     """``SEND`` on the spike NoC — snapshot the spike register's lanes."""
 
-    __slots__ = ("slot", "reg", "idx", "width")
+    __slots__ = ("slot", "reg", "idx")
 
-    def __init__(self, slot: int, reg: int, idx: np.ndarray, width: int):
+    def __init__(self, slot: int, reg: int, idx: np.ndarray):
         self.slot = slot
         self.reg = reg
         self.idx = idx
-        self.width = width
 
     def run(self, st: BatchState) -> None:
-        source = st.spike_reg[self.slot]
         dense = st.regs[self.reg]
-        if dense is None:
-            dense = st.xp.zeros((source.shape[0], self.width), st.xp.bool_)
-            st.regs[self.reg] = dense
-        else:
-            dense[:] = False
-        dense[:, self.idx] = source[:, self.idx]
+        dense[:] = False
+        dense[:, self.idx] = st.spike_reg[self.slot][:, self.idx]
+
+    def registers(self) -> Tuple[int, ...]:
+        return (self.reg,)
 
 
 class FilterPacket(LoweredOp):
@@ -349,14 +340,12 @@ class FilterPacket(LoweredOp):
         self.idx = idx
 
     def run(self, st: BatchState) -> None:
-        source = st.regs[self.reg_in]
         dense = st.regs[self.reg_out]
-        if dense is None:
-            dense = st.xp.zeros(tuple(source.shape), source.dtype)
-            st.regs[self.reg_out] = dense
-        else:
-            dense[:] = 0
-        dense[:, self.idx] = source[:, self.idx]
+        dense[:] = 0
+        dense[:, self.idx] = st.regs[self.reg_in][:, self.idx]
+
+    def registers(self) -> Tuple[int, ...]:
+        return (self.reg_in, self.reg_out)
 
 
 class Fire(LoweredOp):
@@ -376,7 +365,7 @@ class Fire(LoweredOp):
         potential = st.potential[self.slot]
         pot = potential[:, self.idx] + weighted[:, self.idx]
         fired = pot >= self.thresholds
-        potential[:, self.idx] = pot - st.xp.where(fired, self.thresholds, 0)
+        potential[:, self.idx] = pot - np.where(fired, self.thresholds, 0)
         st.spike_reg[self.slot][:, self.idx] = fired
 
 
@@ -398,6 +387,9 @@ class Eject(LoweredOp):
 
     def run(self, st: BatchState) -> None:
         st.axons[self.slot][:, self.offset:self.end] |= st.regs[self.reg][:, self.lanes]
+
+    def registers(self) -> Tuple[int, ...]:
+        return (self.reg,)
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +425,6 @@ class LoweredSchedule:
 
     program: Program
     n_slots: int
-    n_regs: int
     #: schedule executed once per time step (inputs already injected)
     ops: List[LoweredOp]
     #: input injections executed at the start of every time step
@@ -466,19 +457,15 @@ class LoweredSchedule:
     #: which NoC each packet register belongs to ("ps" | "spike"), in
     #: register order; lets BatchState preallocate the registers once
     reg_nets: Tuple[str, ...] = ()
-    #: array module executing this schedule (None = numpy); set by
-    #: :func:`repro.engine.gpu.bind_schedule`
-    xp: Optional[ArrayModule] = None
-    #: compiled fused-kernel plan (None = interpret ``ops`` directly); set
-    #: by :func:`repro.engine.vectorized.prepare_schedule` via
-    #: :func:`repro.engine.kernels.compile_plan`
-    plan: Optional[object] = None
 
     def allocate(self, batch: int) -> BatchState:
+        """Fresh run state for ``batch`` frames, with only the packet
+        registers some op of :attr:`ops` reads or writes."""
         arch = self.program.arch
-        return BatchState(batch, self.n_slots, self.n_regs,
-                          arch.core_inputs, arch.core_neurons,
-                          reg_nets=self.reg_nets, xp=self.xp)
+        registers = {reg: self.reg_nets[reg]
+                     for op in self.ops for reg in op.registers()}
+        return BatchState(batch, self.n_slots, arch.core_inputs,
+                          arch.core_neurons, registers)
 
     @property
     def op_count(self) -> int:
@@ -575,7 +562,6 @@ class _Lowerer:
         self.ops: List[LoweredOp] = []
         self.inject_ops: List[InjectInput] = []
         self.slots: Dict[TileCoordinate, int] = {}
-        self.n_regs = 0
         self.reg_nets: List[str] = []
         #: un-consumed link registers: (dst tile, dst port, net) -> (reg, lanes)
         self.latches: Dict[_LatchKey, Tuple[int, np.ndarray]] = {}
@@ -598,10 +584,8 @@ class _Lowerer:
         return self.slots[tile]
 
     def new_reg(self, net: str) -> int:
-        reg = self.n_regs
-        self.n_regs += 1
         self.reg_nets.append(net)
-        return reg
+        return len(self.reg_nets) - 1
 
     def count(self, key: str, operations: int, lanes: int,
               config: bool = False) -> None:
@@ -663,7 +647,6 @@ class _Lowerer:
         return LoweredSchedule(
             program=program,
             n_slots=len(self.slots),
-            n_regs=self.n_regs,
             ops=self.ops,
             inject_ops=self.inject_ops,
             outputs=outputs,
@@ -727,7 +710,7 @@ class _Lowerer:
         if isinstance(op, PsSend):
             idx = self.op_lane_indices(op.lanes)
             reg = self.new_reg("ps")
-            self.ops.append(MakePsPacket(slot, reg, idx, op.use_sum_buf, self.width))
+            self.ops.append(MakePsPacket(slot, reg, idx, op.use_sum_buf))
             outgoing.append((tile, op.dst, reg, idx, "ps"))
             self.count(op.energy_key, 1, idx.size)
             return outgoing
@@ -752,7 +735,7 @@ class _Lowerer:
         if isinstance(op, SpikeSend):
             idx = self.op_lane_indices(op.lanes)
             reg = self.new_reg("spike")
-            self.ops.append(MakeSpikePacket(slot, reg, idx, self.width))
+            self.ops.append(MakeSpikePacket(slot, reg, idx))
             outgoing.append((tile, op.dst, reg, idx, "spike"))
             self.count(op.energy_key, 1, idx.size)
             return outgoing

@@ -64,7 +64,6 @@ from .lowering import (
     MakeSpikePacket,
     OutputGather,
     PsAdd,
-    _nonempty,
     weight_bounds,
 )
 from ..core.ps_router import PsRouterError
@@ -109,10 +108,10 @@ class FusedAccumulate(LoweredOp):
 
     def run(self, st) -> None:
         axons = st.axons[self.slot]
-        cast = st.scratch(("acc_f", self.slot), axons.shape, st.xp.float64)
-        st.xp.copyto(cast, axons)
-        sums = st.xp.astype(cast @ self.weights_f, st.xp.int64)
-        if self.check and _nonempty(sums) and (
+        cast = st.scratch(("acc_f", self.slot), axons.shape, np.float64)
+        np.copyto(cast, axons, casting="unsafe")
+        sums = (cast @ self.weights_f).astype(np.int64)
+        if self.check and sums.size and (
                 sums.min() < self.ps_min or sums.max() > self.ps_max):
             raise NeuronCoreError(
                 f"neuron core at tile {self.where}: local partial sum "
@@ -148,7 +147,7 @@ class DirectPsAdd(LoweredOp):
         if self.add:
             base = st.sum_buf[self.slot] if self.consecutive else st.local_ps[self.slot]
             values = base[:, self.sel] + incoming
-            if _nonempty(values) and (values.min() < self.ps_min or values.max() > self.ps_max):
+            if values.size and (values.min() < self.ps_min or values.max() > self.ps_max):
                 raise PsRouterError(
                     f"PS router at tile {self.where}: partial-sum overflow "
                     f"outside [{self.ps_min}, {self.ps_max}]"
@@ -534,9 +533,9 @@ def _with_selectors(op: LoweredOp) -> LoweredOp:
                            op.consecutive, op.ps_min, op.ps_max, op.where)
     if isinstance(op, MakePsPacket):
         return MakePsPacket(op.slot, op.reg, _as_selector(op.idx),
-                            op.use_sum_buf, op.width)
+                            op.use_sum_buf)
     if isinstance(op, MakeSpikePacket):
-        return MakeSpikePacket(op.slot, op.reg, _as_selector(op.idx), op.width)
+        return MakeSpikePacket(op.slot, op.reg, _as_selector(op.idx))
     if isinstance(op, FilterPacket):
         return FilterPacket(op.reg_in, op.reg_out, _as_selector(op.idx))
     if isinstance(op, Fire):
@@ -621,7 +620,6 @@ def optimize_schedule(schedule: LoweredSchedule) -> LoweredSchedule:
     optimized = LoweredSchedule(
         program=schedule.program,
         n_slots=schedule.n_slots,
-        n_regs=schedule.n_regs,
         ops=ops,
         inject_ops=inject_ops,
         outputs=outputs,

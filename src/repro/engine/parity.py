@@ -11,7 +11,7 @@ trusting a fast backend for a large sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -19,21 +19,6 @@ from ..core.simulator import SimulationResult
 from ..mapping.program import Program
 from .base import EngineError
 from .registry import create_backend
-from .xp import ensure_host
-
-#: a compared backend: either a registry name, or a labelled variant
-#: ``(label, name, options)`` — e.g. ``("vectorized-fused", "vectorized",
-#: {"executor": "fused"})`` — so executor variants of one backend can be
-#: parity-checked against each other under distinct labels
-BackendSpec = Union[str, Tuple[str, str, Mapping[str, object]]]
-
-
-def _normalise_spec(spec: BackendSpec) -> Tuple[str, str, Dict[str, object]]:
-    """``(label, registry name, constructor options)`` of one spec."""
-    if isinstance(spec, str):
-        return spec, spec, {}
-    label, name, options = spec
-    return label, name, dict(options)
 
 
 class ParityError(EngineError):
@@ -63,24 +48,21 @@ class ParityReport:
 
 
 def run_backends(program: Program, spike_trains: np.ndarray,
-                 backends: Sequence[BackendSpec] = ("reference", "vectorized"),
+                 backends: Sequence[str] = ("reference", "vectorized"),
                  collect_stats: bool = True,
                  probes=None) -> Dict[str, SimulationResult]:
-    """Run ``spike_trains`` through each backend spec on fresh instances.
+    """Run ``spike_trains`` through each named backend on fresh instances.
 
-    Results are keyed by the spec's label.  Every instance is closed after
-    its run, so backends owning persistent resources (the sharded worker
-    pool) never outlive the check.
+    Every instance is closed after its run, so backends owning persistent
+    resources (the sharded worker pool) never outlive the check.
     """
     if len(backends) < 2:
         raise EngineError("parity needs at least two backends to compare")
     results: Dict[str, SimulationResult] = {}
-    for spec in backends:
-        label, name, options = _normalise_spec(spec)
-        backend = create_backend(name, program, collect_stats=collect_stats,
-                                 **options)
+    for name in backends:
+        backend = create_backend(name, program, collect_stats=collect_stats)
         try:
-            results[label] = backend.run(spike_trains, probes=probes)
+            results[name] = backend.run(spike_trains, probes=probes)
         finally:
             backend.close()
     return results
@@ -121,7 +103,7 @@ def _compare_probes(name: str, baseline_name: str, result, baseline) -> None:
 
 
 def assert_backend_parity(program: Program, spike_trains: np.ndarray,
-                          backends: Sequence[BackendSpec] = ("reference", "vectorized"),
+                          backends: Sequence[str] = ("reference", "vectorized"),
                           check_stats: bool = True,
                           probes=None) -> ParityReport:
     """Assert bit-exact agreement between ``backends`` on ``spike_trains``.
@@ -132,30 +114,20 @@ def assert_backend_parity(program: Program, spike_trains: np.ndarray,
     With ``probes`` (a :class:`repro.obs.ProbeSet`) every backend runs
     probed and the captured :class:`repro.obs.ProbeResult`\\ s must also be
     bit-identical — per-layer arrays and NoC telemetry alike.
-
-    Backend specs may be plain registry names or labelled
-    ``(label, name, options)`` variants; compared arrays are coerced to host
-    memory first (:func:`repro.engine.xp.ensure_host`), so a device-resident
-    backend compares against a CPU baseline after a device→host transfer.
     """
     results = run_backends(program, spike_trains, backends,
                            collect_stats=check_stats, probes=probes)
-    labels = [_normalise_spec(spec)[0] for spec in backends]
-    baseline_name = labels[0]
+    baseline_name = backends[0]
     baseline = results[baseline_name]
-    baseline_counts = ensure_host(baseline.spike_counts)
-    baseline_predictions = ensure_host(baseline.predictions)
-    for name in labels[1:]:
+    for name in backends[1:]:
         result = results[name]
-        counts = ensure_host(result.spike_counts)
-        if not np.array_equal(counts, baseline_counts):
-            diff = int(np.sum(counts != baseline_counts))
+        if not np.array_equal(result.spike_counts, baseline.spike_counts):
+            diff = int(np.sum(result.spike_counts != baseline.spike_counts))
             raise ParityError(
                 f"backend {name!r} disagrees with {baseline_name!r} on "
                 f"{diff} spike-count entries"
             )
-        if not np.array_equal(ensure_host(result.predictions),
-                              baseline_predictions):
+        if not np.array_equal(result.predictions, baseline.predictions):
             raise ParityError(
                 f"backend {name!r} disagrees with {baseline_name!r} on predictions"
             )
@@ -170,4 +142,4 @@ def assert_backend_parity(program: Program, spike_trains: np.ndarray,
                 )
         if probes:
             _compare_probes(name, baseline_name, result, baseline)
-    return ParityReport(backends=tuple(labels), results=results)
+    return ParityReport(backends=tuple(backends), results=results)

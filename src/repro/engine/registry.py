@@ -1,8 +1,8 @@
 """Backend registry: name -> :class:`~repro.engine.base.ExecutionBackend`.
 
 Backends self-register at import time with :func:`register_backend`; callers
-resolve them by name.  Follow-on backends (multiprocess sharding, GPU) plug in
-the same way without touching the engine API.
+resolve them by name.  Follow-on backends plug in the same way without
+touching the engine API.
 """
 
 from __future__ import annotations
@@ -43,16 +43,6 @@ def get_backend(name: str) -> Type[ExecutionBackend]:
 def list_backends() -> Tuple[str, ...]:
     """Names of all registered backends, sorted."""
     return tuple(sorted(_REGISTRY))
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered *and* usable in this environment.
-
-    ``gpu`` is always registered but reports unavailable when neither cupy
-    nor torch is importable; the always-on backends report ``True``.
-    Unknown names raise the usual :class:`EngineError`.
-    """
-    return bool(get_backend(name).is_available())
 
 
 def create_backend(name: str, program: Program,

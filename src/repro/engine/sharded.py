@@ -193,8 +193,7 @@ class ShardedBackend(ExecutionBackend):
                  workers: Optional[int] = None, optimize: bool = True,
                  start_method: Optional[str] = None,
                  policy: Optional[RunPolicy] = None,
-                 faults: Optional[FaultPlan] = None,
-                 executor: str = "plain"):
+                 faults: Optional[FaultPlan] = None):
         super().__init__(program, collect_stats=collect_stats)
         self.workers = resolve_worker_count(workers)
         if policy is not None and not isinstance(policy, RunPolicy):
@@ -202,10 +201,7 @@ class ShardedBackend(ExecutionBackend):
                 f"policy must be a repro.resilience.RunPolicy, "
                 f"got {type(policy).__name__}")
         self.policy = policy
-        self.executor = executor
-        # the compiled plan rides inside the pickled schedule payload, so
-        # every worker honours the executor choice without extra plumbing
-        schedule = prepare_schedule(program, optimize, executor=executor)
+        schedule = prepare_schedule(program, optimize)
         self.schedule: LoweredSchedule = schedule
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()

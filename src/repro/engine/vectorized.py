@@ -31,8 +31,7 @@ from .lowering import LoweredSchedule, lower_program
 from .registry import register_backend
 
 
-def prepare_schedule(program: Program, optimize: bool = True,
-                     executor: str = "plain") -> LoweredSchedule:
+def prepare_schedule(program: Program, optimize: bool = True) -> LoweredSchedule:
     """Lower ``program`` and (by default) run the schedule optimizer.
 
     The shared construction step of the ``vectorized`` and ``sharded``
@@ -40,26 +39,14 @@ def prepare_schedule(program: Program, optimize: bool = True,
     Runs the engine's ``lower``/``optimize`` passes through the same pass
     framework the mapping compiler uses (:mod:`repro.ir`), so one pipeline
     covers graph-build through schedule optimization end to end.
-
-    ``executor`` selects the execution strategy for the schedule:
-    ``"plain"`` interprets the op list directly; ``"fused"`` attaches a
-    compiled :class:`~repro.engine.kernels.ExecutionPlan` (using the
-    optional numba loops when importable); ``"numba"`` is ``"fused"`` but
-    fails loudly when numba is absent.  The plan pickles with the schedule,
-    so sharded workers honour the executor automatically.
     """
     from ..ir.passes import CompileContext
     from ..ir.pipeline import schedule_pipeline
-    from .kernels import compile_plan, resolve_executor
 
-    resolve_executor(executor)
     ctx = CompileContext(program.arch)
     ctx.set("program", program)
     schedule_pipeline(optimize).run(ctx)
-    schedule = ctx.require("schedule")
-    if executor != "plain":
-        schedule.plan = compile_plan(schedule, executor)
-    return schedule
+    return ctx.require("schedule")
 
 
 def build_result(schedule: LoweredSchedule, counts: np.ndarray,
@@ -115,18 +102,8 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
     spike_trains = normalise_spike_trains(spike_trains, program.input_size)
     frames, timesteps, _ = spike_trains.shape
     state = schedule.allocate(frames)
-    device = schedule.xp
-    if device is not None:
-        # alternate array module: move inputs over once, results back once
-        spike_trains = device.asarray(spike_trains)
-        counts = device.zeros((frames, program.output_size), device.int64)
-    else:
-        counts = np.zeros((frames, program.output_size), dtype=np.int64)
+    counts = np.zeros((frames, program.output_size), dtype=np.int64)
     ops = schedule.ops
-    exec_plan = schedule.plan
-    if exec_plan is not None:
-        ops = exec_plan.kernels
-        state.buf = exec_plan.allocate_buffers(frames)
     inject_ops = schedule.inject_ops
     outputs = schedule.outputs
     plan = schedule.clear_plan
@@ -172,44 +149,7 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
             collector.capture(state, step)
         if step < sample_limit:
             step_hist.observe(time.perf_counter() - tick)
-    active_axons = state.active_axons
-    if device is not None:
-        counts = np.asarray(device.to_host(counts), dtype=np.int64)
-        active_axons = device.to_host(active_axons)
-    return counts, np.asarray(active_axons, dtype=np.int64)
-
-
-def metered_run(backend, spike_trains: np.ndarray, probes,
-                metrics) -> SimulationResult:
-    """Metrics-instrumented run shared by schedule-executing backends.
-
-    The un-instrumented paths of ``vectorized`` and ``gpu`` stay exactly
-    as they were; when a registry is supplied their ``run`` delegates
-    here, which wraps the identical phases in ``run/<backend>/{setup,
-    timesteps,merge}`` spans and threads ``metrics`` into
-    :func:`execute_schedule`.
-    """
-    from ..obs.profile import span
-
-    program = backend.program
-    spike_trains = normalise_spike_trains(spike_trains, program.input_size)
-    frames, timesteps, _ = spike_trains.shape
-    with span(metrics, f"run/{backend.name}/setup"):
-        collector = None
-        if probes:
-            from ..obs.probes import ScheduleProbeRun
-
-            collector = ScheduleProbeRun(probes.resolve(program),
-                                         backend.schedule, frames, timesteps)
-    with span(metrics, f"run/{backend.name}/timesteps"):
-        counts, active_axons = execute_schedule(backend.schedule, spike_trains,
-                                                collector, metrics=metrics)
-    with span(metrics, f"run/{backend.name}/merge"):
-        result = build_result(backend.schedule, counts, active_axons,
-                              frames, timesteps, backend.collect_stats)
-        if collector is not None:
-            result.probes = collector.result()
-    return result
+    return counts, state.active_axons
 
 
 @register_backend
@@ -219,30 +159,34 @@ class VectorizedBackend(ExecutionBackend):
     name = "vectorized"
 
     def __init__(self, program: Program, collect_stats: bool = True,
-                 optimize: bool = True, executor: str = "plain"):
+                 optimize: bool = True):
         super().__init__(program, collect_stats=collect_stats)
         self.optimize = optimize
-        self.executor = executor
-        self.schedule: LoweredSchedule = prepare_schedule(program, optimize,
-                                                          executor=executor)
+        self.schedule: LoweredSchedule = prepare_schedule(program, optimize)
 
     def run(self, spike_trains: np.ndarray,
             probes=None, metrics=None) -> SimulationResult:
-        if metrics is not None:
-            return metered_run(self, spike_trains, probes, metrics)
+        """Run the batch; with ``metrics`` the ``setup``, ``timesteps`` and
+        ``merge`` phases are wrapped in ``run/vectorized/<phase>`` spans
+        (:func:`repro.obs.profile.span` is a no-op for ``None``)."""
+        from ..obs.profile import span
+
         spike_trains = normalise_spike_trains(spike_trains,
                                               self.program.input_size)
         frames, timesteps, _ = spike_trains.shape
-        collector = None
-        if probes:
-            from ..obs.probes import ScheduleProbeRun
+        with span(metrics, "run/vectorized/setup"):
+            collector = None
+            if probes:
+                from ..obs.probes import ScheduleProbeRun
 
-            collector = ScheduleProbeRun(probes.resolve(self.program),
-                                         self.schedule, frames, timesteps)
-        counts, active_axons = execute_schedule(self.schedule, spike_trains,
-                                                collector)
-        result = build_result(self.schedule, counts, active_axons,
-                              frames, timesteps, self.collect_stats)
-        if collector is not None:
-            result.probes = collector.result()
+                collector = ScheduleProbeRun(probes.resolve(self.program),
+                                             self.schedule, frames, timesteps)
+        with span(metrics, "run/vectorized/timesteps"):
+            counts, active_axons = execute_schedule(
+                self.schedule, spike_trains, collector, metrics=metrics)
+        with span(metrics, "run/vectorized/merge"):
+            result = build_result(self.schedule, counts, active_axons,
+                                  frames, timesteps, self.collect_stats)
+            if collector is not None:
+                result.probes = collector.result()
         return result

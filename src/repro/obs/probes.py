@@ -349,9 +349,6 @@ class ScheduleProbeRun:
         self.schedule = schedule
         self.frames = frames
         self.timesteps = timesteps
-        # device-bound schedules carry an array module; captured parts are
-        # transferred to host so probe results stay plain numpy everywhere
-        self._xp = getattr(schedule, "xp", None)
         slots = schedule.slots
         if not slots and not resolved.empty:
             raise ProbeError(
@@ -377,30 +374,21 @@ class ScheduleProbeRun:
 
     def capture(self, state, step: int) -> None:
         """Record end-of-timestep state for every frame of the batch."""
-        xp = self._xp
         for name, sites in self._spike_sites:
             column = self.spikes[name][:, step]
             for slot, lanes in sites:
-                part = state.spike_reg[slot][:, lanes].sum(axis=1)
-                if xp is not None:
-                    part = xp.to_host(part)
-                column += np.asarray(part, dtype=np.int64)
+                column += state.spike_reg[slot][:, lanes].sum(axis=1)
         for name, sites in self._pot_sites:
             target = self.potentials[name]
             offset = 0
             for slot, lanes in sites:
-                part = state.potential[slot][:, lanes]
-                if xp is not None:
-                    part = xp.to_host(part)
-                target[:, step, offset:offset + lanes.size] = part
+                target[:, step, offset:offset + lanes.size] = \
+                    state.potential[slot][:, lanes]
                 offset += lanes.size
         for name, slots in self._acc_slots:
             column = self.acc_active[name][:, step]
             for slot in slots:
-                part = state.axons[slot].sum(axis=1)
-                if xp is not None:
-                    part = xp.to_host(part)
-                column += np.asarray(part, dtype=np.int64)
+                column += state.axons[slot].sum(axis=1)
 
     def result(self) -> ProbeResult:
         telemetry = None

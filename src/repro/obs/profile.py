@@ -16,7 +16,8 @@ The span *naming convention* is a slash-separated path:
     per-timestep histogram, sampled for at most
     :data:`TIMESTEP_SAMPLE_LIMIT` steps so long runs stay cheap.
 ``kernels/<Op>``
-    fused-plan kernel buckets, one histogram per op class.
+    per-op-class buckets of the schedule executor, one histogram per
+    lowered op class, measured on the first timestep only.
 ``sharded/<phase>``
     worker-pool lifecycle: ``fork``, ``shard`` (the worker-side run,
     re-tagged onto a ``shard<i>`` track by the merge), ``backoff``,

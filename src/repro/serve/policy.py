@@ -3,13 +3,12 @@
 The dynamic batcher's thresholds are seeded from the measured crossover
 points of the ``auto`` backend (:mod:`repro.engine.auto`): a coalesced
 batch below ``sharded_min_frames`` runs ``vectorized`` (multiprocess
-overhead loses at small batches), at or above it runs ``sharded`` on the
-session's warm worker pool, and — when a real accelerator is present —
-batches of ``gpu_min_frames`` and up run ``gpu``.  The one deliberate
-difference from ``auto``: serving never selects the cycle-level
-``reference`` interpreter, whose per-instruction dispatch is orders of
-magnitude too slow for a latency budget (all backends are bit-exact, so
-this is purely a speed choice).
+overhead loses at small batches), and at or above it runs ``sharded`` on
+the session's warm worker pool.  The one deliberate difference from
+``auto``: serving never selects the cycle-level ``reference``
+interpreter, whose per-instruction dispatch is orders of magnitude too
+slow for a latency budget (all backends are bit-exact, so this is purely
+a speed choice).
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..engine.auto import (
-    DEFAULT_GPU_MIN_FRAMES,
-    DEFAULT_SHARDED_MIN_FRAMES,
-    select_backend_name,
-)
+from ..engine.auto import DEFAULT_SHARDED_MIN_FRAMES, select_backend_name
 from ..resilience import FaultPlan, RunPolicy
 from .errors import ServeError
 
@@ -51,13 +46,10 @@ class ServePolicy:
     max_batch: int = 256
     queue_limit: int = 1024
     sharded_min_frames: int = DEFAULT_SHARDED_MIN_FRAMES
-    gpu_min_frames: int = DEFAULT_GPU_MIN_FRAMES
     workers: Optional[int] = None
     run_policy: Optional[RunPolicy] = None
     faults: Optional[FaultPlan] = None
     strict: bool = False
-    optimize: bool = True
-    executor: str = "plain"
 
     def __post_init__(self) -> None:
         if self.batch_window < 0:
@@ -82,21 +74,18 @@ class ServePolicy:
                 f"faults must be a FaultPlan, got "
                 f"{type(self.faults).__name__}")
 
-    def select_backend(self, frames: int,
-                       device: Optional[bool] = None) -> str:
+    def select_backend(self, frames: int) -> str:
         """The backend a ``frames``-sized coalesced batch runs on.
 
         The ``auto`` crossover policy with ``reference`` disabled
         (``reference_max_frames=0``): small load -> ``vectorized``, heavy
-        load -> ``sharded`` (or ``gpu`` with a real accelerator).
+        load -> ``sharded``.
         """
         return select_backend_name(
             frames,
             reference_max_frames=0,
             sharded_min_frames=self.sharded_min_frames,
             workers=self.workers,
-            gpu_min_frames=self.gpu_min_frames,
-            device=device,
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -106,9 +95,6 @@ class ServePolicy:
             "max_batch": self.max_batch,
             "queue_limit": self.queue_limit,
             "sharded_min_frames": self.sharded_min_frames,
-            "gpu_min_frames": self.gpu_min_frames,
             "workers": self.workers,
             "strict": self.strict,
-            "optimize": self.optimize,
-            "executor": self.executor,
         }

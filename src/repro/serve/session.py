@@ -5,7 +5,7 @@ single-frame requests against it.  Requests enter a bounded FIFO queue
 (:meth:`Session.submit` / :meth:`Session.infer`); a dispatcher thread
 holds the oldest request for at most the policy's ``batch_window`` while
 more requests arrive, then coalesces the FIFO prefix (up to
-``max_batch``, same timestep count) into one batch, picks the executor
+``max_batch``, same timestep count) into one batch, picks the backend
 from the batch size (:meth:`~repro.serve.ServePolicy.select_backend` —
 the ``auto`` crossover policy), runs it on the session's cached
 :class:`~repro.engine.ExecutionEngine`, and splits the batched result
@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -141,20 +141,15 @@ class Session:
         self.probes = probes
         self._metrics = metrics
         self._metrics_lock = metrics_lock or threading.Lock()
-        options = {
-            "vectorized": {"optimize": policy.optimize,
-                           "executor": policy.executor},
-            "sharded": {"optimize": policy.optimize,
-                        "executor": policy.executor},
-        }
+        sharded: Dict[str, object] = {}
         if policy.workers is not None:
-            options["sharded"]["workers"] = policy.workers
+            sharded["workers"] = policy.workers
         if policy.run_policy is not None:
-            options["sharded"]["policy"] = policy.run_policy
+            sharded["policy"] = policy.run_policy
         if policy.faults is not None:
-            options["sharded"]["faults"] = policy.faults
+            sharded["faults"] = policy.faults
         self.engine = ExecutionEngine(compiled.program,
-                                      backend_options=options)
+                                      backend_options={"sharded": sharded})
         self._cond = threading.Condition()
         self._queue: Deque[_Request] = deque()
         self._thread: Optional[threading.Thread] = None
@@ -178,7 +173,7 @@ class Session:
     # Construction helpers
     # ------------------------------------------------------------------
     def _warm(self) -> None:
-        """Pre-build the executors a request could hit.
+        """Pre-build the backends a request could hit.
 
         The vectorized schedule is always lowered eagerly (every batch
         size can use it); when the policy's crossover can select
@@ -187,8 +182,7 @@ class Session:
         """
         self.engine.backend("vectorized")
         if self.policy.max_batch >= self.policy.sharded_min_frames and \
-                self.policy.select_backend(self.policy.max_batch,
-                                           device=False) == "sharded":
+                self.policy.select_backend(self.policy.max_batch) == "sharded":
             self.engine.backend("sharded").warm_pool()
 
     def _normalise(self, frames: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ import pytest
 
 import repro.bench as bench
 import repro.bench.__main__ as bench_main
-from repro.bench import check_fused_floor, check_metrics_regression, \
-    check_noc_regression, check_regression, check_resilience_regression, \
-    check_serving, check_timing_regression, load_bench_report
+from repro.bench import check_metrics_regression, check_noc_regression, \
+    check_regression, check_resilience_regression, check_serving, \
+    check_timing_regression, load_bench_report
 
 
 def _throughput(**fps):
@@ -51,33 +51,6 @@ class TestCheckRegression:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             check_regression(_throughput(), _throughput(), tolerance=1.5)
-
-
-class TestCheckFusedFloor:
-    def test_fused_above_committed_vectorized_passes(self):
-        current = _throughput(**{"vectorized-fused": 1500.0})
-        committed = _throughput(vectorized=1000.0)
-        assert check_fused_floor(current, committed) == []
-
-    def test_fused_exactly_at_floor_passes(self):
-        current = _throughput(**{"vectorized-fused": 1000.0})
-        committed = _throughput(vectorized=1000.0)
-        assert check_fused_floor(current, committed) == []
-
-    def test_fused_below_committed_vectorized_fails(self):
-        current = _throughput(**{"vectorized-fused": 900.0})
-        committed = _throughput(vectorized=1000.0)
-        failures = check_fused_floor(current, committed)
-        assert len(failures) == 1
-        assert "vectorized-fused" in failures[0]
-
-    def test_missing_fused_row_skips_gate(self):
-        # a fresh measurement without the fused row (or an old committed
-        # trajectory without a vectorized row) must not fail the gate
-        assert check_fused_floor(_throughput(vectorized=1.0),
-                                 _throughput(vectorized=1000.0)) == []
-        assert check_fused_floor(
-            _throughput(**{"vectorized-fused": 1.0}), _throughput()) == []
 
 
 class TestLoadBenchReport:

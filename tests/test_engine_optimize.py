@@ -20,7 +20,13 @@ from repro.engine import (
     lower_program,
     optimize_schedule,
 )
-from repro.engine.lowering import Accumulate, Eject, MakeSpikePacket, PsAdd
+from repro.engine.lowering import (
+    Accumulate,
+    Eject,
+    MakeSpikePacket,
+    PsAdd,
+    weight_bounds,
+)
 from repro.engine.optimize import (
     DirectEject,
     DirectPsAdd,
@@ -215,6 +221,14 @@ class TestOptimizedErrorPaths:
         with pytest.raises(NeuronCoreError, match="overflow"):
             backend.run(trains)
 
+    def test_weight_bounds_hull_includes_zero(self):
+        weights = np.array([[3, -2], [4, -1]])
+        lo, hi = weight_bounds(weights)
+        assert (lo, hi) == (-3, 7)
+        assert weight_bounds(np.zeros((0, 4))) == (0, 0)
+        # all-positive columns still include 0 (axons may all be silent)
+        assert weight_bounds(np.array([[2], [3]])) == (0, 5)
+
 
 class TestClearPlan:
     def test_plan_restricted_to_read_slots(self, dense_program):
@@ -227,3 +241,24 @@ class TestClearPlan:
         # by the output gather)
         gather_slots = {gather.slot for gather in optimized.outputs}
         assert gather_slots <= set(plan.spike_reg)
+
+
+class TestRegisterAllocation:
+    def test_registers_preallocated_from_reg_nets(self, dense_program):
+        """A run allocates only the packet registers some op reads or
+        writes, each with its NoC's dtype; fused-away ones cost nothing."""
+        lowered = lower_program(dense_program)
+        optimized = optimize_schedule(lowered)
+        assert set(lowered.reg_nets) <= {"ps", "spike"}
+        for schedule in (lowered, optimized):
+            used = {reg for op in schedule.ops for reg in op.registers()}
+            state = schedule.allocate(3)
+            assert set(state.regs) == used
+            for reg, array in state.regs.items():
+                assert array.shape == (3, dense_program.arch.core_neurons)
+                assert array.dtype == (np.int64 if schedule.reg_nets[reg] == "ps"
+                                       else np.bool_)
+        # the lowering writes every register it numbers; packet fusion
+        # leaves some of them unread and unwritten
+        assert set(lowered.allocate(1).regs) == set(range(len(lowered.reg_nets)))
+        assert len(optimized.allocate(1).regs) < len(lowered.reg_nets)

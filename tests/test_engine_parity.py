@@ -9,7 +9,18 @@ batch executor, across multi-frame batches and edge cases.
 import numpy as np
 import pytest
 
+from repro.core import (
+    ArchitectureConfig,
+    CoreAccumulate,
+    PsSend,
+    PsSum,
+    SpikeFire,
+)
+from repro.core.isa import Direction
+from repro.core.neuron_core import NeuronCoreError
+from repro.core.ps_router import PsRouterError
 from repro.core.simulator import SimulationError
+from repro.core.tile import TileCoordinate
 from repro.engine import (
     ParityError,
     assert_backend_parity,
@@ -18,7 +29,56 @@ from repro.engine import (
     run_backends,
 )
 from repro.mapping.compiler import compile_network
+from repro.mapping.program import (
+    InputBinding,
+    OutputBinding,
+    Program,
+    TileConfig,
+)
 from repro.snn import AbstractSnnRunner, deterministic_encode, run_on_shenjing
+
+#: 4x4 cores with 6-bit partial sums: the PS range is [-32, 31]
+OVERFLOW_ARCH = ArchitectureConfig(core_inputs=4, core_neurons=4, chip_rows=2,
+                                   chip_cols=2, ps_bits=6, sram_banks=4)
+
+
+def _overflow_program(weight: int, tiles: int) -> Program:
+    """A row of ``tiles`` cores, each fed all 4 inputs through weight
+    ``weight``; with two tiles the first SENDs its partial sums east and
+    the second SUMs them onto its own before firing."""
+    arch = OVERFLOW_ARCH
+    row = [TileCoordinate(0, col) for col in range(tiles)]
+    program = Program(arch=arch, rows=1, cols=tiles, input_size=4,
+                      output_size=4)
+    for tile in row:
+        program.add_tile_config(TileConfig(
+            tile=tile, weights=np.full((4, 4), weight, dtype=np.int16),
+            thresholds=np.full(4, 4, dtype=np.int64)))
+        program.input_bindings.append(InputBinding(tile=tile,
+                                                   indices=np.arange(4)))
+    acc = program.new_phase("acc").new_group()
+    for tile in row:
+        acc.add(tile, CoreAccumulate())
+    if tiles == 2:
+        reduce = program.new_phase("reduce")
+        reduce.new_group().add(row[0], PsSend(dst=Direction.EAST))
+        reduce.new_group().add(row[1], PsSum(src=Direction.WEST))
+    program.new_phase("fire").new_group().add(
+        row[-1], SpikeFire(use_noc_sum=tiles == 2))
+    program.output_bindings.append(OutputBinding(
+        tile=row[-1], lanes=(0, 1, 2, 3), output_indices=(0, 1, 2, 3)))
+    return program
+
+
+def _acc_overflow_program() -> Program:
+    """One core whose ACC overflows: 4 axons x weight 15 = 60 > 31."""
+    return _overflow_program(OVERFLOW_ARCH.weight_max, tiles=1)
+
+
+def _sum_overflow_program() -> Program:
+    """Two cores whose ACCs stay in range (4 axons x weight 7 = 28) but
+    whose router SUM overflows (28 + 28 = 56 > 31)."""
+    return _overflow_program(7, tiles=2)
 
 
 @pytest.fixture
@@ -103,32 +163,23 @@ class TestErrorPaths:
         with pytest.raises(SimulationError):
             create_backend(backend, dense_program).run(bad)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "sharded"])
     def test_overflow_raises_same_error_class(self, backend):
-        """Partial-sum overflow surfaces as NeuronCoreError on every backend."""
-        from repro.core import ArchitectureConfig, CoreAccumulate, SpikeFire
-        from repro.core.neuron_core import NeuronCoreError
-        from repro.core.tile import TileCoordinate
-        from repro.mapping.program import (
-            InputBinding, OutputBinding, Program, TileConfig,
+        """Partial-sum overflow fails the same way on every backend, in the
+        core's ACC and in a router SUM alike."""
+        options = {"workers": 2} if backend == "sharded" else {}
+        # 4 frames: the sharded backend runs 2 per worker, not in-process
+        trains = np.ones((4, 3, 4), dtype=bool)
+        cases = (
+            (_acc_overflow_program(), NeuronCoreError,
+             r"overflowed the .*range \[-32, 31\]"),
+            (_sum_overflow_program(), PsRouterError,
+             r"partial-sum overflow outside \[-32, 31\]"),
         )
-
-        arch = ArchitectureConfig(core_inputs=4, core_neurons=4, chip_rows=2,
-                                  chip_cols=2, ps_bits=6, sram_banks=4)
-        tile = TileCoordinate(0, 0)
-        program = Program(arch=arch, rows=1, cols=1, input_size=4, output_size=4)
-        weights = np.full((4, 4), arch.weight_max, dtype=np.int16)
-        program.add_tile_config(TileConfig(
-            tile=tile, weights=weights, thresholds=np.full(4, 4, dtype=np.int64)))
-        program.input_bindings.append(InputBinding(tile=tile, indices=np.arange(4)))
-        program.new_phase("acc").new_group().add(tile, CoreAccumulate())
-        program.new_phase("fire").new_group().add(tile, SpikeFire(use_noc_sum=False))
-        program.output_bindings.append(OutputBinding(
-            tile=tile, lanes=(0, 1, 2, 3), output_indices=(0, 1, 2, 3)))
-
-        trains = np.ones((2, 3, 4), dtype=bool)  # 4 axons * 15 = 60 > ps_max 31
-        with pytest.raises(NeuronCoreError, match="overflow"):
-            create_backend(backend, program).run(trains)
+        for program, error, match in cases:
+            with create_backend(backend, program, **options) as instance:
+                with pytest.raises(error, match=match):
+                    instance.run(trains)
 
     def test_parity_error_reports_disagreement(self, dense_program, dense_snn,
                                                dense_inputs, monkeypatch):

@@ -288,13 +288,12 @@ def _backend_variants():
     return [
         ("reference", {}),
         ("vectorized", {}),
-        ("vectorized", {"executor": "fused"}),
         ("sharded", {"workers": 2}),
     ]
 
 
 @pytest.mark.parametrize("backend,options", _backend_variants(),
-                         ids=["reference", "vectorized", "fused", "sharded"])
+                         ids=["reference", "vectorized", "sharded"])
 def test_metrics_do_not_change_results(backend, options):
     """A metrics-on run is bit-identical to a metrics-off run everywhere."""
     program, trains = mlp_bench_case(frames=6, timesteps=5)

@@ -17,10 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DEFAULT_ARCH
-from repro.engine.auto import (
-    DEFAULT_GPU_MIN_FRAMES,
-    DEFAULT_SHARDED_MIN_FRAMES,
-)
+from repro.engine.auto import DEFAULT_SHARDED_MIN_FRAMES
 from repro.ir import compile as ir_compile
 from repro.resilience import RunPolicy
 from repro.serve import (
@@ -93,7 +90,6 @@ class TestServePolicy:
     def test_defaults_seeded_from_auto_crossovers(self):
         policy = ServePolicy()
         assert policy.sharded_min_frames == DEFAULT_SHARDED_MIN_FRAMES
-        assert policy.gpu_min_frames == DEFAULT_GPU_MIN_FRAMES
 
     @pytest.mark.parametrize("kwargs", (
         {"batch_window": -0.1},
@@ -111,11 +107,10 @@ class TestServePolicy:
         """The one deliberate difference from ``auto``: a single-frame
         request runs vectorized, not the cycle-level interpreter."""
         policy = ServePolicy(workers=2)
-        assert policy.select_backend(1, device=False) == "vectorized"
+        assert policy.select_backend(1) == "vectorized"
+        assert policy.select_backend(policy.sharded_min_frames) == "sharded"
         assert policy.select_backend(
-            policy.sharded_min_frames, device=False) == "sharded"
-        assert policy.select_backend(
-            policy.sharded_min_frames - 1, device=False) == "vectorized"
+            policy.sharded_min_frames - 1) == "vectorized"
 
     def test_as_dict_is_json_able(self):
         import json

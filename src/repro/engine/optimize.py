@@ -27,13 +27,16 @@ transformations:
    views and its scatters hit the fast basic-indexing path with zero
    per-step index bookkeeping.
 
-4. **Exact BLAS accumulation.**  ``ACC`` is an integer matmul; numpy routes
-   ``int64 @ int64`` through a slow generic loop.  Weight magnitudes are
-   tiny and one output lane sums at most ``core_inputs`` of them, so every
-   partial product and partial sum is exactly representable in float64: the
+4. **Exact float32 BLAS accumulation over the used weight window.**
+   ``ACC`` is an integer matmul; numpy routes ``int64 @ int64`` through a
+   slow generic loop.  Weight magnitudes are tiny and one output lane sums
+   at most ``core_inputs`` of them, so with 5-bit weights every partial
+   sum stays within ``±2**24`` and is exactly representable in float32: the
    optimizer rewrites :class:`~repro.engine.lowering.Accumulate` into
-   :class:`FusedAccumulate`, which computes the same integers through the
-   BLAS dgemm path (guarded by an exactness bound check).
+   :class:`FusedAccumulate`, which keeps only the bounding box of the
+   core's non-zero weights and computes the same integers through the BLAS
+   sgemm path on that block (guarded by an exactness bound check; above
+   the bound the int64 ``Accumulate`` stays).
 
 On top, the optimizer computes a :class:`~repro.engine.lowering.ClearPlan`
 so that between time steps only the state arrays the schedule actually reads
@@ -74,32 +77,47 @@ Selector = Union[np.ndarray, slice]
 #: state keys used by the analyses: ("axons", slot), ("reg", n), ...
 _Key = Tuple[str, int]
 
-#: safety bound for the float64 accumulation path: every partial sum must be
-#: exactly representable (integers up to 2**53 are; keep a wide margin)
-_EXACT_F64_BOUND = float(2 ** 52)
+#: exactness bound for the float32 accumulation path: every integer of
+#: magnitude up to 2**24 is exactly representable in float32
+_EXACT_F32_BOUND = 2 ** 24
 
 
 # ----------------------------------------------------------------------
 # Fused / rewritten operations
 # ----------------------------------------------------------------------
 class FusedAccumulate(LoweredOp):
-    """``ACC`` computed through the BLAS float64 path — exact by bound check.
+    """``ACC`` through float32 BLAS over the core's used weight window.
 
     Same integers, same overflow check and same ``active_axons`` measurement
     as :class:`~repro.engine.lowering.Accumulate`; only the matmul route
-    differs (dgemm instead of numpy's generic int64 loop).  Like
-    ``Accumulate``, the bool→float64 cast reuses a scratch buffer and the
-    overflow scan is elided when :func:`~repro.engine.lowering.weight_bounds`
-    proves it cannot fire.
+    differs.  At build time the op keeps just the bounding box
+    ``[rows, cols]`` of the non-zero weights (empty for an all-zero matrix),
+    as contiguous float32; a run multiplies the window's axons through sgemm
+    and writes the product into the window's columns of ``local_ps`` in
+    place.  The other columns stay 0: their weights are all zero and ACC is
+    the only op that writes ``local_ps``.  Exact because every partial sum
+    lies within ``±2**24`` (checked by the optimizer before it rewrites).
+    The overflow scan is elided when
+    :func:`~repro.engine.lowering.weight_bounds` of the full matrix proves
+    it cannot fire.
     """
 
-    __slots__ = ("slot", "weights_f", "ps_min", "ps_max", "where", "bounds",
-                 "check")
+    __slots__ = ("slot", "rows", "cols", "window", "ps_min", "ps_max",
+                 "where", "bounds", "check")
 
     def __init__(self, slot: int, weights: np.ndarray, ps_min: int, ps_max: int,
                  where: str):
         self.slot = slot
-        self.weights_f = np.ascontiguousarray(weights, dtype=np.float64)
+        weights = np.asarray(weights)
+        used_rows = np.flatnonzero(weights.any(axis=1))
+        used_cols = np.flatnonzero(weights.any(axis=0))
+        if used_rows.size:
+            self.rows = slice(int(used_rows[0]), int(used_rows[-1]) + 1)
+            self.cols = slice(int(used_cols[0]), int(used_cols[-1]) + 1)
+        else:
+            self.rows = self.cols = slice(0, 0)
+        self.window = np.ascontiguousarray(weights[self.rows, self.cols],
+                                           dtype=np.float32)
         self.ps_min = ps_min
         self.ps_max = ps_max
         self.where = where
@@ -108,16 +126,21 @@ class FusedAccumulate(LoweredOp):
 
     def run(self, st) -> None:
         axons = st.axons[self.slot]
-        cast = st.scratch(("acc_f", self.slot), axons.shape, np.float64)
-        np.copyto(cast, axons, casting="unsafe")
-        sums = (cast @ self.weights_f).astype(np.int64)
+        batch = axons.shape[0]
+        cast = st.scratch(("acc_f", self.slot), (batch, self.window.shape[0]),
+                          np.float32)
+        product = st.scratch(("acc_p", self.slot),
+                             (batch, self.window.shape[1]), np.float32)
+        np.copyto(cast, axons[:, self.rows], casting="unsafe")
+        np.matmul(cast, self.window, out=product)
+        sums = st.local_ps[self.slot]
+        np.copyto(sums[:, self.cols], product, casting="unsafe")
         if self.check and sums.size and (
                 sums.min() < self.ps_min or sums.max() > self.ps_max):
             raise NeuronCoreError(
                 f"neuron core at tile {self.where}: local partial sum "
                 f"overflowed the range [{self.ps_min}, {self.ps_max}]"
             )
-        st.local_ps[self.slot] = sums
         st.active_axons += axons.sum(axis=1)
 
 
@@ -556,13 +579,14 @@ def _with_selectors(op: LoweredOp) -> LoweredOp:
 
 
 def _fuse_accumulates(ops: List[LoweredOp]) -> List[LoweredOp]:
-    """Swap int64 Accumulates for the exact BLAS path where provably exact."""
+    """Swap int64 Accumulates for the float32 BLAS path where provably exact:
+    every partial sum of one output lane must lie within ``±2**24``."""
     rewritten: List[LoweredOp] = []
     for op in ops:
         if isinstance(op, Accumulate):
             weights = op.weights
-            bound = float(np.abs(weights).max(initial=0)) * weights.shape[0]
-            if bound < _EXACT_F64_BOUND:
+            bound = int(np.abs(weights).max(initial=0)) * weights.shape[0]
+            if bound <= _EXACT_F32_BOUND:
                 rewritten.append(FusedAccumulate(op.slot, weights, op.ps_min,
                                                  op.ps_max, op.where))
                 continue

@@ -53,10 +53,18 @@ pool stays usable afterwards.
 Worker count resolves from, in order: the ``workers`` constructor argument,
 the ``REPRO_SHARDED_WORKERS`` environment variable, ``os.cpu_count()``
 (capped at :data:`MAX_DEFAULT_WORKERS`).
+
+The workers split the machine's cores for BLAS: each sets every OpenBLAS
+it has loaded to ``max(1, os.cpu_count() // workers)`` threads at start-up
+(through ctypes; a process without a known OpenBLAS setter is left as it
+is), so concurrent shards do not oversubscribe the cores with the
+accumulate matmuls.  The parent process keeps its own thread count, which
+in-process runs use.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import pickle
@@ -121,14 +129,60 @@ def resolve_worker_count(workers: Optional[int] = None) -> int:
 
 
 # ----------------------------------------------------------------------
+# BLAS threads
+# ----------------------------------------------------------------------
+#: thread-count setters exported by OpenBLAS builds, tried in this order:
+#: numpy's own wheel build, then ILP64 and LP64 system builds
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
+
+
+def _openblas_libraries() -> List[ctypes.CDLL]:
+    """Every OpenBLAS shared library mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            lines = maps.read().splitlines()
+    except OSError:
+        return []
+    paths = set()
+    for line in lines:
+        fields = line.split(None, 5)  # address perms offset dev inode path
+        if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+            paths.add(fields[5])
+    libraries = []
+    for path in sorted(paths):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libraries
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set every loaded OpenBLAS to ``count`` threads, through whichever
+    setter of :data:`BLAS_THREAD_SETTERS` it exports (none: no change)."""
+    for library in _openblas_libraries():
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(count)
+                break
+
+
+# ----------------------------------------------------------------------
 # Worker-side state and entry points (module level: picklable by name)
 # ----------------------------------------------------------------------
 _WORKER_SCHEDULE: Optional[LoweredSchedule] = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
 
 
-def _worker_init(payload: bytes, fault_payload: Optional[bytes] = None) -> None:
+def _worker_init(payload: bytes, workers: int,
+                 fault_payload: Optional[bytes] = None) -> None:
     global _WORKER_SCHEDULE, _WORKER_FAULTS
+    _set_blas_threads(max(1, (os.cpu_count() or 1) // workers))
     _WORKER_SCHEDULE = pickle.loads(payload)
     _WORKER_FAULTS = (pickle.loads(fault_payload)
                       if fault_payload is not None else None)
@@ -262,7 +316,7 @@ class ShardedBackend(ExecutionBackend):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=ctx,
                 initializer=_worker_init,
-                initargs=(self._payload, self._fault_payload))
+                initargs=(self._payload, self.workers, self._fault_payload))
             if metrics is not None:
                 metrics.record_span("sharded/fork",
                                     time.perf_counter() - tick)

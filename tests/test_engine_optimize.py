@@ -10,8 +10,15 @@ parity with the unoptimized schedule and the reference interpreter.
 import numpy as np
 import pytest
 
-from repro.core import CoreAccumulate, SpikeFire, SpikeSend, SpikeReceive
-from repro.core.isa import Direction
+from repro.core import (
+    ArchitectureConfig,
+    CoreAccumulate,
+    SpikeFire,
+    SpikeReceive,
+    SpikeSend,
+    small_test_arch,
+)
+from repro.core.isa import Direction, PsSend, PsSum
 from repro.core.neuron_core import NeuronCoreError
 from repro.core.tile import TileCoordinate
 from repro.engine import (
@@ -228,6 +235,129 @@ class TestOptimizedErrorPaths:
         assert weight_bounds(np.zeros((0, 4))) == (0, 0)
         # all-positive columns still include 0 (axons may all be silent)
         assert weight_bounds(np.array([[2], [3]])) == (0, 5)
+
+
+def _bound_program(core_inputs):
+    """One tile with 20-bit weights at ``weight_min``/``weight_max``, so a
+    lane's partial sums reach ``2**19 * core_inputs`` in magnitude.
+
+    Lanes 0 and 1 share weights whose sum is odd; it exceeds ``2**24``
+    (where float32 cannot hold odd integers) once ``core_inputs`` > 32.
+    Their thresholds are that sum and one more, so a partial sum rounded
+    either way changes the spike counts.
+    """
+    arch = ArchitectureConfig(core_inputs=core_inputs, core_neurons=4,
+                              chip_rows=2, chip_cols=2, weight_bits=20,
+                              ps_bits=32, sram_banks=4)
+    lo, hi = arch.weight_min, arch.weight_max
+    weights = np.full((core_inputs, 4), hi, dtype=np.int64)
+    weights[0, :2] = lo
+    weights[:, 2] = lo
+    weights[1::2, 3] = lo
+    odd_sum = int(weights[:, 0].sum())
+    thresholds = np.array([odd_sum, odd_sum + 1, 1, 1], dtype=np.int64)
+    tile = TileCoordinate(0, 0)
+    program = Program(arch=arch, rows=1, cols=1, input_size=core_inputs,
+                      output_size=4)
+    program.add_tile_config(TileConfig(tile=tile, weights=weights,
+                                       thresholds=thresholds))
+    program.input_bindings.append(InputBinding(
+        tile=tile, indices=np.arange(core_inputs)))
+    program.new_phase("acc").new_group().add(tile, CoreAccumulate())
+    program.new_phase("fire").new_group().add(tile, SpikeFire(use_noc_sum=False))
+    program.output_bindings.append(OutputBinding(
+        tile=tile, lanes=(0, 1, 2, 3), output_indices=(0, 1, 2, 3)))
+    return program
+
+
+def _window_program():
+    """Tile A's weights are non-zero only in the block rows 2:5 x cols 3:6;
+    tile B's are all zero.  A fires every lane and sends lanes on both
+    sides of its block to B, which SUMs them onto its own (zero) partial
+    sums and fires every lane.  Thresholds of 1 outside the block would
+    turn a stray partial sum there into spikes."""
+    arch = small_test_arch(core_inputs=8, core_neurons=8, chip_rows=2,
+                           chip_cols=2)
+    a, b = TileCoordinate(0, 0), TileCoordinate(0, 1)
+    weights = np.zeros((8, 8), dtype=np.int64)
+    weights[2:5, 3:6] = [[3, -1, 2], [1, 2, -2], [2, 1, 3]]
+    thresholds = np.array([1, 1, 1, 2, 2, 2, 1, 1], dtype=np.int64)
+    program = Program(arch=arch, rows=1, cols=2, input_size=16,
+                      output_size=16)
+    program.add_tile_config(TileConfig(tile=a, weights=weights,
+                                       thresholds=thresholds))
+    program.add_tile_config(TileConfig(
+        tile=b, weights=np.zeros((8, 8), dtype=np.int64),
+        thresholds=np.ones(8, dtype=np.int64)))
+    program.input_bindings.append(InputBinding(tile=a, indices=np.arange(8)))
+    program.input_bindings.append(InputBinding(tile=b,
+                                               indices=np.arange(8, 16)))
+    acc = program.new_phase("acc").new_group()
+    acc.add(a, CoreAccumulate())
+    acc.add(b, CoreAccumulate())
+    program.new_phase("fire-a").new_group().add(a, SpikeFire(use_noc_sum=False))
+    route = program.new_phase("route")
+    route.new_group().add(a, PsSend(dst=Direction.EAST,
+                                    lanes=(0, 1, 2, 3, 5, 6, 7)))
+    route.new_group().add(b, PsSum(src=Direction.WEST))
+    program.new_phase("fire-b").new_group().add(b, SpikeFire(use_noc_sum=True))
+    program.output_bindings.append(OutputBinding(
+        tile=a, lanes=tuple(range(8)), output_indices=tuple(range(8))))
+    program.output_bindings.append(OutputBinding(
+        tile=b, lanes=tuple(range(8)), output_indices=tuple(range(8, 16))))
+    return program
+
+
+class TestFloat32Accumulate:
+    @pytest.mark.parametrize("core_inputs, fused", [(32, True), (64, False)])
+    def test_exactness_bound(self, core_inputs, fused):
+        """``max|w| * core_inputs`` <= 2**24 lowers to the float32 path;
+        above it the int64 ``Accumulate`` stays.  Both are exact."""
+        program = _bound_program(core_inputs)
+        assert (2 ** 19 * core_inputs <= 2 ** 24) == fused
+        ops = optimize_schedule(lower_program(program)).ops
+        kinds = {type(op) for op in ops} & {Accumulate, FusedAccumulate}
+        assert kinds == {FusedAccumulate if fused else Accumulate}
+        trains = np.ones((2, 3, core_inputs), dtype=bool)
+        report = assert_backend_parity(program, trains)
+        counts = report.baseline.spike_counts
+        assert counts[:, 0].tolist() == [3, 3]  # threshold == the odd sum
+        assert counts[:, 1].tolist() == [2, 2]  # one above it
+
+    def test_window_edges_match_reference(self):
+        program = _window_program()
+        ops = optimize_schedule(lower_program(program)).ops
+        accs = {op.slot: op for op in ops if isinstance(op, FusedAccumulate)}
+        assert len(accs) == 2
+        block = program.tile_configs[TileCoordinate(0, 0)].weights[2:5, 3:6]
+        for op in accs.values():
+            assert op.window.dtype == np.float32
+            assert op.window.flags.c_contiguous
+        windows = sorted((op.rows, op.cols, op.window.shape)
+                         for op in accs.values())
+        assert windows == [(slice(0, 0), slice(0, 0), (0, 0)),
+                           (slice(2, 5), slice(3, 6), (3, 3))]
+        inside = next(op for op in accs.values() if op.window.size)
+        np.testing.assert_array_equal(inside.window, block)
+
+        rng = np.random.default_rng(7)
+        trains = rng.random((6, 5, 16)) < 0.5
+        results = {}
+        for backend in ("reference", "vectorized", "sharded"):
+            options = {"workers": 2} if backend == "sharded" else {}
+            with create_backend(backend, program, **options) as instance:
+                results[backend] = instance.run(trains)
+        baseline = results["reference"]
+        # A's block lanes spike, on A and through B's SUM; every lane
+        # outside the block stays silent on both tiles
+        counts = baseline.spike_counts
+        assert counts[:, [3, 4, 5]].min() > 0
+        assert counts[:, [11, 13]].min() > 0
+        assert counts[:, [0, 1, 2, 6, 7, 8, 9, 10, 12, 14, 15]].max() == 0
+        for name in ("vectorized", "sharded"):
+            np.testing.assert_array_equal(results[name].spike_counts,
+                                          baseline.spike_counts)
+            assert results[name].stats.summary() == baseline.stats.summary()
 
 
 class TestClearPlan:

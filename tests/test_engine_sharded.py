@@ -6,6 +6,9 @@ correct error class — plus bit-exact three-way parity (counts, predictions,
 statistics) and the ``auto`` policy.
 """
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,12 @@ from repro.engine import (
     run,
     select_backend_name,
 )
-from repro.engine.sharded import MAX_DEFAULT_WORKERS, WORKERS_ENV_VAR
+from repro.engine.sharded import (
+    BLAS_THREAD_SETTERS,
+    MAX_DEFAULT_WORKERS,
+    WORKERS_ENV_VAR,
+    _openblas_libraries,
+)
 from repro.mapping.compiler import compile_network
 from repro.snn import deterministic_encode
 
@@ -55,6 +63,21 @@ def _overflow_program():
     program.output_bindings.append(OutputBinding(
         tile=tile, lanes=(0, 1, 2, 3), output_indices=(0, 1, 2, 3)))
     return program
+
+
+def _blas_threads():
+    """Thread count of every loaded OpenBLAS that exports a known setter,
+    read through the matching getter (runs in workers: module level)."""
+    counts = []
+    for library in _openblas_libraries():
+        for setter in BLAS_THREAD_SETTERS:
+            getter = getattr(library, setter.replace("_set_", "_get_"), None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
 
 
 class TestWorkerResolution:
@@ -323,6 +346,25 @@ class TestPersistentPool:
         assert delegate.pool_alive
         backend.close()
         assert not delegate.pool_alive
+
+
+class TestWorkerBlasThreads:
+    def test_workers_split_the_cores(self):
+        """Each of 2 workers runs BLAS on ``cpu_count // 2`` threads (at
+        least 1); the parent keeps its own count."""
+        parent = _blas_threads()
+        if not parent:
+            pytest.skip("no OpenBLAS with a known thread setter is loaded")
+        expected = [max(1, (os.cpu_count() or 1) // 2)] * len(parent)
+        backend = ShardedBackend(_overflow_program(), workers=2)
+        try:
+            backend.warm_pool()
+            futures = [backend._pool.submit(_blas_threads) for _ in range(4)]
+            assert [future.result(timeout=60)
+                    for future in futures] == [expected] * 4
+        finally:
+            backend.close()
+        assert _blas_threads() == parent
 
 
 @pytest.mark.slow

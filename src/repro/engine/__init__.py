@@ -8,8 +8,8 @@ bit-exact backends:
 * ``vectorized`` — lowers the program once into a flat per-timestep schedule
   of dense numpy operations, optimizes the schedule
   (:mod:`repro.engine.optimize`: packet fusion, dead-op elimination, slice
-  selectors, exact BLAS accumulation) and executes all frames of a batch
-  simultaneously;
+  selectors, exact BLAS accumulation, one GEMM per reduction tree) and
+  executes all frames of a batch simultaneously;
 * ``sharded`` — splits the batch's frame axis across worker processes, each
   running the same optimized schedule (:mod:`repro.engine.sharded`);
 * ``auto`` — picks one of the above from the batch size

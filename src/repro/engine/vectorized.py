@@ -4,7 +4,8 @@ Lowers the compiled :class:`~repro.mapping.program.Program` once (at
 construction) into a flat per-timestep schedule of dense numpy operations
 (:mod:`repro.engine.lowering`), runs the schedule optimizer over it
 (:mod:`repro.engine.optimize` — packet fusion, dead-op elimination,
-precomputed slice selectors, exact BLAS accumulation) and then executes
+precomputed slice selectors, exact BLAS accumulation, one GEMM per
+reduction tree) and then executes
 **all frames of the batch simultaneously** along a leading batch axis: the
 Python dispatch cost of one time step is paid once per batch instead of once
 per frame, which is where the >=10x throughput over the ``reference``

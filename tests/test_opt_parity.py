@@ -3,9 +3,11 @@
 The contract of :mod:`repro.opt`: for every benchmark builder, the
 optimized compile produces the same spikes as the default compile and the
 abstract runner, all three execution backends agree on outputs *and*
-statistics, and the per-timestep wave depth goes down.  The full-size
-acceptance criterion (>= 20 % wave-depth reduction on ``mnist-inception``
-and ``cifar-multiskip``) runs under the ``slow`` marker.
+statistics, and the per-timestep wave depth goes down.  Under both
+pipelines the schedule optimizer fuses every reduction tree into one
+GEMM.  The full-size acceptance criterion (>= 20 % wave-depth reduction
+on ``mnist-inception`` and ``cifar-multiskip``) runs under the ``slow``
+marker.
 """
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 from repro.apps.networks import ALL_BUILDERS
 from repro.core.config import DEFAULT_ARCH
 from repro.engine import assert_backend_parity, run as engine_run
+from repro.engine.optimize import DirectPsAdd, TreeAccumulate
+from repro.engine.vectorized import prepare_schedule
 from repro.ir import GraphSnnRunner, compile as ir_compile
 from repro.opt import compare_noc_pipelines, plan_metrics
 from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
@@ -68,6 +72,12 @@ def test_optimized_compile_bit_exact_and_shallower(name, rng):
     # predictions and ExecutionStats (assert_backend_parity checks stats)
     assert_backend_parity(optimized.program, trains,
                           backends=("reference", "vectorized", "sharded"))
+    assert_backend_parity(default.program, trains)
+    # under both pipelines every PS-NoC reduction tree became one GEMM
+    for compiled in (default, optimized):
+        ops = prepare_schedule(compiled.program).ops
+        assert any(isinstance(op, TreeAccumulate) for op in ops)
+        assert not any(isinstance(op, DirectPsAdd) for op in ops)
 
 
 @pytest.mark.slow

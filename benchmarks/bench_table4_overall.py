@@ -145,7 +145,7 @@ def test_table4_estimated_cycles_default_vs_optimized(benchmark, name):
     the repro.timing estimates — the optimized schedule must be strictly
     cheaper (the ISSUE 5 acceptance criterion).
     """
-    from repro.bench import seeded_benchmark_graph
+    from repro.apps.networks import seeded_benchmark_graph
     from repro.core.config import DEFAULT_ARCH
     from repro.ir import compile as ir_compile
 

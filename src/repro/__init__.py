@@ -16,8 +16,9 @@ The package is organised as:
 * :mod:`repro.opt` — NoC-aware placement & routing optimization passes;
 * :mod:`repro.timing` — schedule-aware analytic cycle model;
 * :mod:`repro.engine` — batched/sharded execution backends;
-* :mod:`repro.bench` — perf/NoC/timing benchmark harness
-  (``python -m repro.bench``).
+* :mod:`repro.bench` — the bench gate table of machine-independent checks
+  (``python -m repro.bench --check``); speed on the paper's nets is
+  measured by ``perfbench/``.
 
 Standalone documentation lives in ``docs/`` (architecture, pipeline,
 backends, timing), linted by ``tests/test_docs.py``.

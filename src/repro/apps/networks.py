@@ -412,3 +412,25 @@ ALL_BUILDERS = {
     "cifar-strided": build_cifar_strided,
     "cifar-strided-small": build_cifar_strided_small,
 }
+
+
+def seeded_benchmark_graph(name: str, timesteps: int, seed: int = 0):
+    """Deterministically convert builder ``name`` to a layer graph.
+
+    The one seeding recipe shared by every consumer that must agree on the
+    exact weights and calibration — the ``noc`` and ``firing`` rows of
+    ``python -m repro.bench``, ``python -m repro.timing``, ``python -m
+    repro.obs`` and the Table IV estimated-cycles benchmark.  The RNG is
+    derived from ``(seed, name)`` so results do not depend on enumeration
+    order.  Returns ``(graph, rng)``; the rng has consumed only the
+    calibration batch, letting callers draw further deterministic inputs.
+    """
+    from ..snn.conversion import ConversionConfig, convert_ann_to_graph
+
+    rng = np.random.default_rng([seed] + list(name.encode()))
+    model = ALL_BUILDERS[name](seed=seed)
+    calibration = rng.random((2,) + model.input_shape)
+    graph = convert_ann_to_graph(
+        model, calibration,
+        ConversionConfig(timesteps=timesteps, max_calibration_samples=2))
+    return graph, rng

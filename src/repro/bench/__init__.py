@@ -1,108 +1,64 @@
-"""Benchmark harness for the execution engine (``python -m repro.bench``).
+"""The bench gate table (``python -m repro.bench``).
 
-The measurement logic used by ``benchmarks/bench_engine_throughput.py`` and
-``benchmarks/bench_sharded_scaling.py`` lives here, inside the package, so
-the same numbers can be produced without any ``PYTHONPATH`` / rootdir setup
-wherever ``repro`` is importable::
+Speed on the paper's own nets is measured by ``perfbench/run.py`` and
+bounded in ``BENCHMARK.json``, parent against change on one machine.  This
+harness keeps only what perfbench does not measure, and only checks whose
+verdict does not depend on the machine: deterministic values (NoC metrics,
+firing rates) and ratios of two timings taken in one process (speed-ups,
+instrumentation overheads).  Each check is one row of :data:`ROWS` —
+``(name, measure, geometry, keys -> bound)`` — read by one gate
+(:func:`gate`) and one printer (:func:`format_table`)::
 
-    python -m repro.bench                 # measure + write BENCH_engine.json
-    python -m repro.bench --skip-scaling  # throughput only
+    python -m repro.bench            # measure, write BENCH_engine.json
+    python -m repro.bench --check    # measure, gate against the file
 
-Results are written to ``BENCH_engine.json`` — a machine-readable perf
-trajectory (frames/sec per backend, speedups, batch size, git revision,
-cpu count) that future changes can diff against to catch regressions.
-Sections are merged on re-write, so the throughput benchmark and the
-sharded-scaling benchmark update one shared file.
+One verdict rule (:func:`verdict`).  A wall-clock key is the median of
+``pairs`` interleaved timing pairs (:func:`paired_seconds`), stored with its
+first and third quartiles (Kalibera & Jones, ISMM 2013); a deterministic key
+is a plain number, its own quartiles.  A key passes when its median meets
+the bound and FAILs when even its most favourable quartile misses it;
+otherwise it is *unresolved* — printed with its quartiles, not a failure.
 
-``python -m repro.bench --check`` turns the trajectory into a CI-style
-gate: it re-measures throughput, compares every backend's frames/sec
-against the committed ``BENCH_engine.json``, and exits non-zero when any
-backend regressed by more than the tolerance (default 25 %).
-
-The harness also records the :mod:`repro.opt` NoC metrics (per-timestep
-wave depth, total hops, and the :mod:`repro.timing` estimated cycles) of
-the default vs NoC-optimized compilation pipeline for the DAG workloads
-into a ``noc`` section; ``--check`` additionally gates on those — NoC
-metrics are deterministic (seeded placement search), so a regression there
-is a compiler change, not noise, and the optimized pipeline must keep
-cutting wave depth by at least the recorded ``required_reduction`` (the
-ISSUE 4 acceptance floor of 20 %).
-
-A ``timing`` section tracks the :mod:`repro.timing` analytic cycle model
-against *simulated* ``ExecutionStats.cycles`` on small (cheap-to-simulate)
-networks, default and NoC-optimized pipelines both; ``--check`` fails when
-the model's relative error exceeds the committed ``tolerance`` (the wave
-model is exact by construction, so any error is drift) or when the
-optimized estimate stops undercutting the default one.
-
-An ``obs`` section records the :mod:`repro.obs` observability costs and
-signals: vectorized throughput with probes detached vs the full
-``ProbeSet`` attached, per-layer firing rates of the full-size DAG nets
-on a small probed batch, and per-pass compile seconds.  ``--check`` gates
-the no-probe throughput within ``max_overhead`` (5 %) of the committed
-baseline and requires the (deterministic) firing rates to reproduce
-exactly; ``--skip-obs`` skips the section.
-
-A ``metrics`` section records the cost of the :mod:`repro.obs.metrics`
-wall-clock layer: vectorized frames/sec with metrics off vs a fresh
-:class:`~repro.obs.MetricsRegistry` attached per run, plus count/sum/
-p50/p95/p99 snapshots of the key histograms one instrumented run
-produced.  ``--check`` gates metrics-on throughput within
-``max_overhead`` (5 %) of the committed metrics-off baseline;
-``--skip-metrics`` skips the section.
-
-A ``serving`` section records :mod:`repro.serve` under open-loop load
-(:func:`open_loop_load`): achieved requests/sec, p50/p95/p99 request
-latency, and the mean dynamic-batch size at an offered rate of
-``SERVING_RATE_FACTOR`` times the single-frame vectorized rate.
-``--check`` gates throughput and p99 latency against the committed
-values, machine-speed normalized by the single-frame ``baseline`` ratio
-(the :func:`check_metrics_regression` pattern); ``--skip-serving``
-skips the section.
-
-The harness is built for constrained environments: worker counts are capped
-by ``os.cpu_count()``-derived defaults, and nothing here asserts — the
-pytest wrappers in ``benchmarks/`` own the acceptance thresholds (and relax
-the scaling expectations when the machine has too few cores to show one).
+Bounds live only in the table.  ``BENCH_engine.json`` holds what was
+measured, under which geometry, at which ``git_rev`` on how many CPUs;
+``--check`` refuses (exit 2) a file measured under another geometry.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import json
+import operator
 import os
 import subprocess
 import time
+from contextlib import ExitStack
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import small_test_arch
-from ..engine import assert_backend_parity, create_backend, resolve_worker_count
+from ..engine import create_backend
 from ..mapping import compile_network
 from ..snn import DenseSpec, SnnNetwork, deterministic_encode
-from .loadgen import LoadReport, open_loop_load
 
-#: canonical name of the perf-trajectory file
+#: canonical name of the committed measurements file
 BENCH_FILENAME = "BENCH_engine.json"
 
-#: default batch geometry of the MLP throughput case
-DEFAULT_FRAMES = 64
-DEFAULT_TIMESTEPS = 16
+#: layout version of ``BENCH_engine.json``
+SCHEMA = 2
 
 
-def mlp_bench_network(timesteps: int = DEFAULT_TIMESTEPS, seed: int = 0,
-                      rng=None):
-    """The quickstart-style 40-24-5 MLP spec and its bench architecture.
+def mlp_bench_case(frames: int = 64, timesteps: int = 16, seed: int = 0):
+    """The quickstart-style 40-24-5 MLP mapping and a spike-train batch.
 
-    Returns ``(network, arch)`` *uncompiled* — the serving bench feeds the
-    pair to :meth:`repro.serve.Server.load`, which owns compilation (and
-    its artifact cache); :func:`mlp_bench_case` compiles it directly.
-    ``rng`` lets the latter share one stream so its spike trains keep
-    their historical values.
+    Spans several 16x16 cores and both NoCs, so it exercises every lowered
+    op kind.  Returns ``(program, spike_trains)``.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     arch = small_test_arch(core_inputs=16, core_neurons=16, chip_rows=8,
                            chip_cols=8)
     network = SnnNetwork(
@@ -116,875 +72,365 @@ def mlp_bench_network(timesteps: int = DEFAULT_TIMESTEPS, seed: int = 0,
         ],
         timesteps=timesteps,
     )
-    return network, arch
-
-
-def mlp_bench_case(frames: int = DEFAULT_FRAMES,
-                   timesteps: int = DEFAULT_TIMESTEPS,
-                   seed: int = 0):
-    """The quickstart-style 40-24-5 MLP mapping and a spike-train batch.
-
-    Spans several 16x16 cores and both NoCs, so it exercises every lowered
-    op kind.  Returns ``(program, spike_trains)``.
-    """
-    rng = np.random.default_rng(seed)
-    network, arch = mlp_bench_network(timesteps=timesteps, seed=seed, rng=rng)
     trains = deterministic_encode(rng.random((frames, 40)), timesteps)
     return compile_network(network, arch).program, trains
 
 
-def time_backend(name: str, program, trains, repeats: int = 5,
-                 probes=None, metrics: bool = False, **options) -> float:
-    """Best-of-``repeats`` seconds for one batched run (construction and a
-    warmup run excluded).  ``probes`` (a :class:`repro.obs.ProbeSet`) is
-    forwarded to every run, so probed throughput can be measured with the
-    same harness; ``metrics=True`` attaches a *fresh*
-    :class:`repro.obs.MetricsRegistry` to every run, so metrics-on
-    throughput is measurable without one registry accumulating across
-    repeats.  The backend is closed afterwards so persistent worker pools
-    never outlive their measurement."""
-    from ..obs import MetricsRegistry
-    from ..obs.profile import stopwatch
+def paired_seconds(base: Callable[[], object], other: Callable[[], object],
+                   pairs: int) -> np.ndarray:
+    """Wall-clock of ``pairs`` interleaved ``(base, other)`` calls.
 
-    def run_once():
-        registry = MetricsRegistry() if metrics else None
-        with stopwatch() as watch:
-            backend.run(trains, probes=probes, metrics=registry)
-        return watch.seconds
-
-    backend = create_backend(name, program, **options)
-    try:
-        run_once()
-        return min(run_once() for _ in range(max(1, repeats)))
-    finally:
-        backend.close()
-
-
-def measure_throughput(frames: int = DEFAULT_FRAMES,
-                       timesteps: int = DEFAULT_TIMESTEPS,
-                       repeats: int = 5,
-                       check_parity: bool = True) -> Dict[str, object]:
-    """Frames/sec of every backend on the MLP case, plus speedup ratios.
-
-    ``vectorized_unoptimized`` is the PR-1 vectorized path (no schedule
-    optimizer), kept measurable so the optimizer's contribution stays an
-    explicit number in the perf trajectory.
+    Each side is called once untimed first.  Pair ``i`` runs ``base`` first
+    when ``i`` is even and ``other`` first when it is odd, so drift and
+    cache warmth fall on both sides alike.  Returns seconds of shape
+    ``(pairs, 2)``: column 0 is ``base``, column 1 ``other``.
     """
+    calls = (base, other)
+    for call in calls:
+        call()
+    seconds = np.empty((pairs, 2))
+    for index in range(pairs):
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            calls[side]()
+            seconds[index, side] = time.perf_counter() - start
+    return seconds
+
+
+def spread(samples: Sequence[float]) -> Dict[str, float]:
+    """Median and quartiles of per-pair ``samples``, as stored in the file."""
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"q1": float(q1), "median": float(median), "q3": float(q3)}
+
+
+def quartiles(value) -> Tuple[float, float, float]:
+    """``(q1, median, q3)`` of a stored value; a plain number is its own."""
+    if isinstance(value, Mapping):
+        return (float(value["q1"]), float(value["median"]),
+                float(value["q3"]))
+    return (float(value),) * 3
+
+
+# ----------------------------------------------------------------------
+# Bounds and the verdict rule
+# ----------------------------------------------------------------------
+_HOLDS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt,
+          "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Bound:
+    """``value <op> limit``; with ``of_committed`` the limit is
+    ``limit x`` the committed median.  ``op=None`` reports the key only."""
+
+    op: Optional[str] = None
+    limit: float = 0.0
+    of_committed: bool = False
+
+    def threshold(self, committed) -> float:
+        if self.of_committed:
+            return self.limit * quartiles(committed)[1]
+        return self.limit
+
+    def describe(self, committed) -> str:
+        if self.op is None:
+            return "reported"
+        if self.op == "==" and self.of_committed:
+            return "== committed"
+        text = f"{self.op} {_number(self.threshold(committed))}"
+        if self.of_committed:
+            text += f" ({self.limit:g} x committed)"
+        return text
+
+
+REPORTED = Bound()
+EQUAL = Bound("==", 1.0, of_committed=True)
+
+
+def verdict(bound: Bound, value, committed=None) -> str:
+    """``"ok"``, ``"FAIL"``, ``"unresolved"`` or ``"reported"``.
+
+    ``ok`` when the median meets the bound; ``FAIL`` when the quartile on
+    the passing side (Q1 under a ceiling, Q3 over a floor) misses it too;
+    otherwise ``unresolved``.  An equality has no passing side.
+    """
+    if bound.op is None:
+        return "reported"
+    q1, median, q3 = quartiles(value)
+    limit = bound.threshold(committed)
+    holds = _HOLDS[bound.op]
+    if holds(median, limit):
+        return "ok"
+    if bound.op != "==" and holds(q1 if bound.op == "<=" else q3, limit):
+        return "unresolved"
+    return "FAIL"
+
+
+# ----------------------------------------------------------------------
+# Measurements: one function per row, called with the row's geometry
+# ----------------------------------------------------------------------
+def measure_speedup(frames: int, timesteps: int,
+                    pairs: int) -> Dict[str, object]:
+    """In-process speed-ups on the toy MLP: ``vectorized`` over the
+    cycle-level ``reference`` interpreter, and the schedule optimizer
+    (``vectorized``) over ``vectorized`` with ``optimize=False``."""
     program, trains = mlp_bench_case(frames=frames, timesteps=timesteps)
-    if check_parity:
-        assert_backend_parity(program, trains,
-                              backends=("reference", "vectorized", "sharded"))
-    sharded_workers = resolve_worker_count()
-    sharded_shards = max(1, min(sharded_workers, frames))
-    seconds = {
-        "reference": time_backend("reference", program, trains,
-                                  repeats=min(repeats, 2)),
-        "vectorized_unoptimized": time_backend("vectorized", program, trains,
-                                               repeats=repeats, optimize=False),
-        "vectorized": time_backend("vectorized", program, trains,
-                                   repeats=repeats),
-        "sharded": time_backend("sharded", program, trains, repeats=repeats),
-    }
-    backends = {
-        name: {"seconds": value, "frames_per_sec": frames / value}
-        for name, value in seconds.items()
-    }
+    with ExitStack() as stack:
+        reference, unoptimized, vectorized = (
+            stack.enter_context(create_backend(name, program, **options))
+            for name, options in (("reference", {}),
+                                  ("vectorized", {"optimize": False}),
+                                  ("vectorized", {})))
+        fast = partial(vectorized.run, trains)
+        versus_reference = paired_seconds(partial(reference.run, trains),
+                                          fast, pairs)
+        versus_unoptimized = paired_seconds(partial(unoptimized.run, trains),
+                                            fast, pairs)
     return {
-        "frames": frames,
-        "timesteps": timesteps,
-        "parity_checked": check_parity,
-        "sharded_workers": sharded_workers,
-        "sharded_shards": sharded_shards,
-        "backends": backends,
-        "speedups": {
-            "vectorized_vs_reference":
-                seconds["reference"] / seconds["vectorized"],
-            "optimized_vs_unoptimized":
-                seconds["vectorized_unoptimized"] / seconds["vectorized"],
-            "sharded_vs_vectorized":
-                seconds["vectorized"] / seconds["sharded"],
-        },
+        "vectorized_vs_reference":
+            spread(versus_reference[:, 0] / versus_reference[:, 1]),
+        "optimized_vs_unoptimized":
+            spread(versus_unoptimized[:, 0] / versus_unoptimized[:, 1]),
     }
 
 
-def default_worker_counts() -> List[int]:
-    """Worker counts worth sweeping on this machine.
+def measure_noc(networks: Sequence[str], timesteps: int,
+                seed: int) -> Dict[str, object]:
+    """Default vs NoC-optimized pipeline of each full-size DAG net.
 
-    Always includes 1 (in-process baseline) and 2 (exercises the real
-    multiprocess path even on small machines), then doubles up to the cpu
-    count, capped at 8.
+    Deterministic: the ANN weights, the calibration batch and the
+    placement search are all seeded.
     """
-    cpus = os.cpu_count() or 1
-    counts = {1, 2}
-    count = 4
-    while count <= min(cpus, 8):
-        counts.add(count)
-        count *= 2
-    return sorted(counts)
-
-
-def measure_sharded_scaling(frames: int = 128,
-                            timesteps: int = DEFAULT_TIMESTEPS,
-                            worker_counts: Optional[Sequence[int]] = None,
-                            repeats: int = 3) -> Dict[str, object]:
-    """Frames/sec of the sharded backend across worker counts (bit-exactness
-    of every worker count against the single-shard run is verified)."""
-    program, trains = mlp_bench_case(frames=frames, timesteps=timesteps)
-    if worker_counts is None:
-        worker_counts = default_worker_counts()
-    with create_backend("sharded", program, workers=1) as single:
-        baseline = single.run(trains)
-    workers: Dict[str, Dict[str, float]] = {}
-    for count in worker_counts:
-        with create_backend("sharded", program, workers=count) as backend:
-            result = backend.run(trains)
-            shards = backend.shard_count(frames)
-        if not np.array_equal(result.spike_counts, baseline.spike_counts):
-            raise AssertionError(
-                f"sharded backend with {count} workers disagrees with the "
-                "single-shard run"
-            )
-        if result.stats.summary() != baseline.stats.summary():
-            raise AssertionError(
-                f"sharded stats with {count} workers disagree with the "
-                "single-shard run"
-            )
-        seconds = time_backend("sharded", program, trains, repeats=repeats,
-                               workers=count)
-        workers[str(count)] = {
-            "seconds": seconds,
-            "frames_per_sec": frames / seconds,
-            "shards": shards,
-        }
-    return {
-        "frames": frames,
-        "timesteps": timesteps,
-        "cpu_count": os.cpu_count() or 1,
-        "workers": workers,
-    }
-
-
-def seeded_benchmark_graph(name: str, timesteps: int, seed: int = 0):
-    """Deterministically convert benchmark builder ``name`` to a layer graph.
-
-    The one seeding recipe shared by every consumer that must agree on the
-    exact weights/calibration — ``measure_noc``, ``measure_timing``,
-    ``python -m repro.timing`` and the table-IV estimated-cycles benchmark
-    — so the committed trajectory sections cannot drift apart.  The RNG is
-    derived from ``(seed, name)`` so results do not depend on enumeration
-    order.  Returns ``(graph, rng)``; the rng has consumed only the
-    calibration batch, letting callers draw further deterministic inputs.
-    """
-    from ..apps.networks import ALL_BUILDERS
-    from ..snn.conversion import ConversionConfig, convert_ann_to_graph
-
-    rng = np.random.default_rng([seed] + list(name.encode()))
-    model = ALL_BUILDERS[name](seed=seed)
-    calibration = rng.random((2,) + model.input_shape)
-    graph = convert_ann_to_graph(
-        model, calibration,
-        ConversionConfig(timesteps=timesteps, max_calibration_samples=2))
-    return graph, rng
-
-
-#: networks whose NoC metrics are tracked in the perf trajectory
-NOC_NETWORKS = ("mnist-inception", "cifar-multiskip")
-
-#: minimum wave-depth reduction the optimized pipeline must sustain
-NOC_REQUIRED_REDUCTION = 0.20
-
-
-def measure_noc(networks: Sequence[str] = NOC_NETWORKS,
-                timesteps: int = 8, seed: int = 0) -> Dict[str, object]:
-    """NoC metrics of the default vs optimized pipeline per network.
-
-    Compiles each (full-size) network through both pipelines on the
-    default architecture and records wave depth, hop counts and the
-    relative reductions.  Everything here is deterministic: the ANN
-    weights, the calibration batch and the placement search are all
-    seeded, so ``--check`` can gate on these numbers exactly.
-    """
+    from ..apps.networks import seeded_benchmark_graph
     from ..core.config import DEFAULT_ARCH
     from ..opt import compare_noc_pipelines
 
-    rows: Dict[str, object] = {}
+    values: Dict[str, object] = {}
     for name in networks:
         graph, _ = seeded_benchmark_graph(name, timesteps, seed=seed)
-        rows[name] = compare_noc_pipelines(graph, DEFAULT_ARCH)
-    return {
-        "timesteps": timesteps,
-        "seed": seed,
-        "required_reduction": NOC_REQUIRED_REDUCTION,
-        "networks": rows,
-    }
-
-
-def check_noc_regression(current: Dict[str, object],
-                         committed: Dict[str, object],
-                         tolerance: float = 0.25) -> List[str]:
-    """Compare fresh NoC metrics against the committed trajectory.
-
-    Returns one failure line per violated gate: the optimized pipeline's
-    wave depth / total hops must not exceed the committed values by more
-    than ``tolerance``, and the wave-depth reduction vs the default
-    pipeline must stay at or above the committed ``required_reduction``.
-    Networks present on only one side are skipped.
-    """
-    failures: List[str] = []
-    required = float(committed.get("required_reduction",
-                                   NOC_REQUIRED_REDUCTION))
-    current_rows = current.get("networks", {})
-    committed_rows = committed.get("networks", {})
-    for name in sorted(set(current_rows) & set(committed_rows)):
-        fresh = current_rows[name]
-        baseline = committed_rows[name]
+        row = compare_noc_pipelines(graph, DEFAULT_ARCH)
         for metric in ("wave_depth", "total_hops"):
-            measured = float(fresh["optimized"][metric])
-            ceiling = float(baseline["optimized"][metric]) * (1.0 + tolerance)
-            if measured > ceiling:
-                failures.append(
-                    f"{name}: optimized {metric} {measured:.0f} > "
-                    f"{ceiling:.0f} (committed "
-                    f"{baseline['optimized'][metric]}, "
-                    f"tolerance {tolerance:.0%})"
-                )
-        reduction = float(fresh["reduction"]["wave_depth"])
-        if reduction < required:
-            failures.append(
-                f"{name}: wave-depth reduction {reduction:.1%} below the "
-                f"required {required:.0%}"
-            )
-    return failures
+            values[f"{name}.optimized.{metric}"] = row["optimized"][metric]
+        for metric in ("wave_depth", "estimated_cycles"):
+            values[f"{name}.reduction.{metric}"] = row["reduction"][metric]
+    return values
 
 
-#: networks whose timing-model error is tracked (small variants: cheap to
-#: actually simulate, so the estimate can be compared against real cycles)
-TIMING_NETWORKS = ("mnist-inception-small", "cifar-multiskip-small")
+def measure_firing(networks: Sequence[str], frames: int, timesteps: int,
+                   seed: int) -> Dict[str, object]:
+    """Per-layer firing rates of each net (default pipeline, vectorized).
 
-#: maximum relative error of the timing model vs simulated cycles — the
-#: ISSUE 5 acceptance band (the wave-derived model is exact by
-#: construction, so any error at all indicates model drift)
-TIMING_TOLERANCE = 0.10
-
-
-def measure_timing(networks: Sequence[str] = TIMING_NETWORKS,
-                   timesteps: int = 4, frames: int = 2,
-                   seed: int = 0) -> Dict[str, object]:
-    """Timing-model estimates vs simulated cycles, per network and pipeline.
-
-    Compiles each network through the default and the NoC-optimized
-    pipeline, prices both with :mod:`repro.timing`, runs ``frames`` frames
-    on the ``vectorized`` backend and records estimated cycles, simulated
-    ``ExecutionStats.cycles`` and the relative error.  Deterministic
-    (seeded weights/calibration/inputs and analytic engine stats), so
-    ``--check`` gates on the recorded tolerance exactly.
+    Deterministic (seeded weights, calibration and inputs), and JSON
+    binary64 round-trips, so the gate compares them for equality.
     """
-    from ..core.config import DEFAULT_ARCH
-    from ..ir.pipeline import compile as ir_compile
-    from ..snn.encoding import deterministic_encode
-    from ..timing import relative_error
-
-    rows: Dict[str, object] = {}
-    for name in networks:
-        graph, rng = seeded_benchmark_graph(name, timesteps, seed=seed)
-        trains = deterministic_encode(rng.random((frames, graph.input_size)),
-                                      timesteps)
-        row: Dict[str, object] = {}
-        for label, optimize in (("default", False), ("optimized", True)):
-            compiled = ir_compile(graph, DEFAULT_ARCH, optimize_noc=optimize)
-            estimated = compiled.timing.cycles_for(frames)
-            with create_backend("vectorized", compiled.program) as backend:
-                simulated = int(backend.run(trains).stats.cycles)
-            row[label] = {
-                "estimated_cycles": int(estimated),
-                "simulated_cycles": simulated,
-                "relative_error": relative_error(estimated, simulated),
-            }
-        rows[name] = row
-    return {
-        "timesteps": timesteps,
-        "frames": frames,
-        "seed": seed,
-        "tolerance": TIMING_TOLERANCE,
-        "networks": rows,
-    }
-
-
-def check_timing_regression(current: Dict[str, object],
-                            committed: Dict[str, object]) -> List[str]:
-    """Gate fresh timing measurements against the committed tolerance.
-
-    Returns one failure line per violation: a pipeline whose timing-model
-    relative error vs simulated cycles exceeds the committed ``tolerance``,
-    or a network whose optimized estimate is not strictly below its default
-    estimate (the NoC passes must keep paying for themselves in estimated
-    cycles).  Networks present on only one side are skipped.
-    """
-    failures: List[str] = []
-    tolerance = float(committed.get("tolerance", TIMING_TOLERANCE))
-    current_rows = current.get("networks", {})
-    committed_rows = committed.get("networks", {})
-    for name in sorted(set(current_rows) & set(committed_rows)):
-        row = current_rows[name]
-        for label in ("default", "optimized"):
-            error = float(row[label]["relative_error"])
-            if error > tolerance:
-                failures.append(
-                    f"{name}: {label} timing-model error {error:.1%} vs "
-                    f"simulated cycles exceeds the committed tolerance "
-                    f"{tolerance:.0%}"
-                )
-        if row["optimized"]["estimated_cycles"] >= \
-                row["default"]["estimated_cycles"]:
-            failures.append(
-                f"{name}: optimized estimated cycles "
-                f"{row['optimized']['estimated_cycles']} not below default "
-                f"{row['default']['estimated_cycles']}"
-            )
-    return failures
-
-
-#: maximum throughput the no-probe path may lose vs the committed
-#: baseline — the ISSUE 6 acceptance floor for probe overhead (5 %)
-OBS_MAX_OVERHEAD = 0.05
-
-#: batch geometry of the firing-rate measurement (full-size DAG nets are
-#: expensive to execute, so the probed runs use a deliberately small batch)
-OBS_FIRING_FRAMES = 2
-OBS_FIRING_TIMESTEPS = 4
-
-
-def measure_obs(networks: Sequence[str] = NOC_NETWORKS,
-                frames: int = DEFAULT_FRAMES,
-                timesteps: int = DEFAULT_TIMESTEPS,
-                repeats: int = 5,
-                firing_frames: int = OBS_FIRING_FRAMES,
-                firing_timesteps: int = OBS_FIRING_TIMESTEPS,
-                seed: int = 0) -> Dict[str, object]:
-    """The :mod:`repro.obs` observability section of the perf trajectory.
-
-    Three sub-records:
-
-    * ``overhead`` — vectorized frames/sec on the MLP throughput case with
-      no probes vs with the full :class:`~repro.obs.ProbeSet` attached.
-      The no-probe number is the one ``--check`` gates (within
-      ``max_overhead`` of the committed baseline); the probed number keeps
-      the *cost of observing* an explicit entry in the trajectory.
-    * ``firing`` — per-layer firing rates of the full-size DAG workloads
-      on a small probed batch.  Deterministic (seeded weights, calibration
-      and inputs), so ``--check`` requires exact agreement: any drift is a
-      functional change in the compiler or engine, not noise.
-    * ``compile`` — per-pass compile seconds (every
-      :class:`~repro.ir.passes.PassRecord`) for the first network, from
-      the same compile that produced its firing rates.  Informational:
-      wall-clock, so never gated.
-    """
+    from ..apps.networks import seeded_benchmark_graph
     from ..core.config import DEFAULT_ARCH
     from ..ir.pipeline import compile as ir_compile
     from ..obs import ProbeSet
 
-    program, trains = mlp_bench_case(frames=frames, timesteps=timesteps)
-    off_seconds = time_backend("vectorized", program, trains, repeats=repeats)
-    on_seconds = time_backend("vectorized", program, trains, repeats=repeats,
-                              probes=ProbeSet.full())
-
-    firing_rows: Dict[str, Dict[str, float]] = {}
-    compile_row: Dict[str, object] = {}
+    values: Dict[str, object] = {}
     for name in networks:
-        graph, rng = seeded_benchmark_graph(name, firing_timesteps, seed=seed)
-        compiled = ir_compile(graph, DEFAULT_ARCH)
-        probe_trains = deterministic_encode(
-            rng.random((firing_frames, graph.input_size)), firing_timesteps)
-        with create_backend("vectorized", compiled.program) as backend:
-            result = backend.run(probe_trains, probes=ProbeSet.firing_rates())
-        firing_rows[name] = {
-            layer: float(rate)
-            for layer, rate in sorted(result.probes.firing_rates().items())
-        }
-        if not compile_row:
-            compile_row = {
-                "network": name,
-                "passes": [record.as_dict() for record in compiled.trace],
-                "total_seconds": float(sum(
-                    record.seconds for record in compiled.trace)),
-            }
-    return {
-        "frames": frames,
-        "timesteps": timesteps,
-        "max_overhead": OBS_MAX_OVERHEAD,
-        "overhead": {
-            "probe_off": {"seconds": off_seconds,
-                          "frames_per_sec": frames / off_seconds},
-            "probe_on": {"seconds": on_seconds,
-                         "frames_per_sec": frames / on_seconds},
-            "overhead_ratio": (on_seconds - off_seconds) / off_seconds,
-        },
-        "firing": {
-            "frames": firing_frames,
-            "timesteps": firing_timesteps,
-            "seed": seed,
-            "networks": firing_rows,
-        },
-        "compile": compile_row,
-    }
+        graph, rng = seeded_benchmark_graph(name, timesteps, seed=seed)
+        program = ir_compile(graph, DEFAULT_ARCH).program
+        trains = deterministic_encode(
+            rng.random((frames, graph.input_size)), timesteps)
+        with create_backend("vectorized", program) as backend:
+            result = backend.run(trains, probes=ProbeSet.firing_rates())
+        for layer, rate in result.probes.firing_rates().items():
+            values[f"{name}.{layer}"] = float(rate)
+    return values
 
 
-def check_obs_regression(current: Dict[str, object],
-                         committed: Dict[str, object]) -> List[str]:
-    """Gate fresh observability measurements against the committed section.
+def measure_overhead(frames: int, timesteps: int, pairs: int,
+                     workers: int) -> Dict[str, object]:
+    """Relative run-time cost of each instrumentation, on vs off in pairs.
 
-    Two gates: the no-probe throughput must stay within the committed
-    ``max_overhead`` (5 %) of the committed baseline — instrumentation is
-    only acceptable while its detached cost rounds to zero — and every
-    committed per-layer firing rate must reproduce *exactly* (they are
-    deterministic, and JSON binary64 round-trips, so equality is the right
-    comparison; a mismatch means the compiler or engine changed what the
-    network computes).  Networks present on only one side are skipped.
+    * ``supervision`` — ``sharded`` under the default
+      :class:`~repro.resilience.RunPolicy` vs no policy (``workers`` is
+      pinned so the real worker pool runs even on a 1-CPU machine);
+    * ``metrics`` — ``vectorized`` with one long-lived
+      :class:`~repro.obs.MetricsRegistry` vs none;
+    * ``probes`` — ``vectorized`` with :meth:`~repro.obs.ProbeSet.full`
+      attached vs none.
     """
-    failures: List[str] = []
-    max_overhead = float(committed.get("max_overhead", OBS_MAX_OVERHEAD))
-    fresh = current.get("overhead", {})
-    baseline = committed.get("overhead", {})
-    if fresh and baseline:
-        measured = float(fresh["probe_off"]["frames_per_sec"])
-        committed_fps = float(baseline["probe_off"]["frames_per_sec"])
-        floor = committed_fps * (1.0 - max_overhead)
-        if measured < floor:
-            failures.append(
-                f"probe-off throughput {measured:.1f} frames/s < "
-                f"{floor:.1f} (committed {committed_fps:.1f}, max probe "
-                f"overhead {max_overhead:.0%})"
-            )
-    current_nets = current.get("firing", {}).get("networks", {})
-    committed_nets = committed.get("firing", {}).get("networks", {})
-    for name in sorted(set(current_nets) & set(committed_nets)):
-        layers = set(current_nets[name]) | set(committed_nets[name])
-        for layer in sorted(layers):
-            measured_rate = current_nets[name].get(layer)
-            committed_rate = committed_nets[name].get(layer)
-            if measured_rate is None or committed_rate is None or \
-                    float(measured_rate) != float(committed_rate):
-                failures.append(
-                    f"{name}: firing rate of layer {layer!r} drifted: "
-                    f"committed {committed_rate} -> measured {measured_rate}"
-                )
-    return failures
-
-
-#: throughput the supervised sharded path may lose vs the committed
-#: unsupervised numbers — the ISSUE 7 acceptance band (5 %): supervision
-#: must stay an async-submission bookkeeping cost, never a serialization
-RESILIENCE_MAX_OVERHEAD = 0.05
-#: worker-pool size every resilience measurement pins (machine-independent)
-RESILIENCE_WORKERS = 2
-
-
-def measure_resilience(frames: int = DEFAULT_FRAMES,
-                       timesteps: int = DEFAULT_TIMESTEPS,
-                       repeats: int = 5) -> Dict[str, object]:
-    """The :mod:`repro.resilience` section of the perf trajectory.
-
-    Three sub-records:
-
-    * ``unsupervised`` — sharded frames/sec with no :class:`RunPolicy`
-      (the plain fire-and-forget numbers the other sections already track);
-    * ``supervised`` — the same run under the default
-      :class:`~repro.resilience.RunPolicy` (async per-shard submission,
-      timeout bookkeeping, result validation).  ``--check`` gates this
-      within ``max_overhead`` (5 %) of the committed *unsupervised*
-      baseline, same shape as the probe-overhead gate;
-    * ``recovery`` — wall-clock of one run surviving an injected worker
-      crash (pool re-fork + failed-shard re-run included) plus whether the
-      recovered run stayed bit-exact vs the vectorized baseline.  The
-      bit-exactness flag is gated; the seconds are informational.
-    """
-    from ..resilience import FaultPlan, RunPolicy
+    from ..obs import MetricsRegistry, ProbeSet
+    from ..resilience import RunPolicy
 
     program, trains = mlp_bench_case(frames=frames, timesteps=timesteps)
-    policy = RunPolicy()
-    # workers is pinned so the measurement exercises the real worker pool
-    # even on single-core machines (the default would collapse to the
-    # in-process shards<=1 path and supervision would never engage).
-    workers = RESILIENCE_WORKERS
-    unsupervised = time_backend("sharded", program, trains, repeats=repeats,
-                                workers=workers)
-    supervised = time_backend("sharded", program, trains, repeats=repeats,
-                              workers=workers, policy=policy)
-
-    with create_backend("vectorized", program) as backend:
-        baseline = backend.run(trains)
-    recovery_policy = RunPolicy(shard_timeout=60.0, max_retries=2, backoff=0.0)
-    with create_backend("sharded", program, workers=workers,
-                        policy=recovery_policy,
-                        faults=FaultPlan.crash(shard=0)) as backend:
-        start = time.perf_counter()
-        result = backend.run(trains)
-        recovery_seconds = time.perf_counter() - start
-    recovered = bool(
-        np.array_equal(result.spike_counts, baseline.spike_counts)
-        and result.stats.summary() == baseline.stats.summary())
-    return {
-        "frames": frames,
-        "timesteps": timesteps,
-        "max_overhead": RESILIENCE_MAX_OVERHEAD,
-        "workers": workers,
-        "policy": policy.as_dict(),
-        "unsupervised": {"seconds": unsupervised,
-                         "frames_per_sec": frames / unsupervised},
-        "supervised": {"seconds": supervised,
-                       "frames_per_sec": frames / supervised,
-                       "overhead_ratio":
-                           (supervised - unsupervised) / unsupervised},
-        "recovery": {
-            "fault": "crash",
-            "seconds": recovery_seconds,
-            "recovered_bit_exact": recovered,
-            "events": result.resilience.counts(),
-        },
-    }
-
-
-def check_resilience_regression(current: Dict[str, object],
-                                committed: Dict[str, object]) -> List[str]:
-    """Gate fresh resilience measurements against the committed section.
-
-    Two gates: supervised fault-free throughput must stay within the
-    committed ``max_overhead`` (5 %) of the committed *unsupervised*
-    frames/sec — supervision is only acceptable while its fault-free cost
-    rounds to zero — and the injected-crash run must have recovered
-    bit-exactly (a boolean, so any regression is functional, not noise).
-    """
-    failures: List[str] = []
-    max_overhead = float(committed.get("max_overhead",
-                                       RESILIENCE_MAX_OVERHEAD))
-    fresh = current.get("supervised", {})
-    baseline = committed.get("unsupervised", {})
-    if fresh and baseline:
-        measured = float(fresh["frames_per_sec"])
-        committed_fps = float(baseline["frames_per_sec"])
-        floor = committed_fps * (1.0 - max_overhead)
-        if measured < floor:
-            failures.append(
-                f"supervised throughput {measured:.1f} frames/s < "
-                f"{floor:.1f} (committed unsupervised {committed_fps:.1f}, "
-                f"max supervision overhead {max_overhead:.0%})"
-            )
-    recovery = current.get("recovery", {})
-    if recovery and not recovery.get("recovered_bit_exact", True):
-        failures.append(
-            "injected worker crash did not recover bit-exactly "
-            f"(events: {recovery.get('events')})"
-        )
-    return failures
-
-
-#: throughput a metrics-on run may lose vs the committed metrics-off
-#: baseline — the ISSUE 9 acceptance ceiling (5 %): wall-clock metrics
-#: must stay a sampled-histogram bookkeeping cost, never a hot-loop tax
-METRICS_MAX_OVERHEAD = 0.05
-
-#: histograms whose shape is snapshotted into the trajectory (the two the
-#: vectorized run always populates: sampled per-timestep seconds and the
-#: run-phase spans' auto-histograms)
-METRICS_KEY_HISTOGRAMS = ("schedule/timestep", "run/vectorized/timesteps")
-
-
-#: batch size of the metrics-overhead measurement.  Deliberately larger
-#: than the throughput case: the registry's cost is per-run bookkeeping
-#: (bounded sampling, first-timestep kernel buckets, a handful of spans),
-#: so a longer run amortizes it well below the gate's ceiling and leaves
-#: the 5 % budget to machine noise — the same posture as the probe gate.
-METRICS_FRAMES = 4 * DEFAULT_FRAMES
-
-
-def measure_metrics(frames: int = METRICS_FRAMES,
-                    timesteps: int = DEFAULT_TIMESTEPS,
-                    repeats: int = 5) -> Dict[str, object]:
-    """The :mod:`repro.obs.metrics` section of the perf trajectory.
-
-    Two sub-records:
-
-    * ``overhead`` — vectorized frames/sec on the MLP case with no metrics
-      vs with a long-lived :class:`~repro.obs.MetricsRegistry` attached
-      (the steady-state deployment: CLI and pipeline thread one registry
-      through many runs).  Off/on runs are interleaved on one backend,
-      alternating which side goes first, and each side takes its best
-      time — timing noise on a shared box is strictly additive, so the
-      minimum is the estimate least polluted by other tenants.  When an
-      attempt still lands above half the gate ceiling the measurement is
-      retried (up to three attempts) and the lowest-overhead attempt
-      wins, for the same reason.  ``--check`` gates the metrics-on number
-      within ``max_overhead`` (5 %) of the committed *metrics-off*
-      baseline — the instrumentation is only acceptable while enabling it
-      costs nothing observable.
-    * ``histograms`` — count/sum/p50/p95/p99 snapshots of the key
-      wall-clock histograms from one instrumented run.  Informational:
-      wall-clock, so never gated; committed so the trajectory shows what
-      the profiler actually measured, not just what it cost.
-    """
-    from ..obs import MetricsRegistry
-    from ..obs.profile import stopwatch
-
-    program, trains = mlp_bench_case(frames=frames, timesteps=timesteps)
-    registry = MetricsRegistry()
     meter = MetricsRegistry()
-    attempts: List[Tuple[float, float, float]] = []
-    with create_backend("vectorized", program) as backend:
-        backend.run(trains)
-        backend.run(trains, metrics=meter)  # warm the meter's metric objects
-        for _ in range(3):
-            off_best = on_best = float("inf")
-            for index in range(2 * max(3, repeats)):
-                sides = ("on", "off") if index % 2 else ("off", "on")
-                for side in sides:
-                    with stopwatch() as watch:
-                        if side == "on":
-                            backend.run(trains, metrics=meter)
-                        else:
-                            backend.run(trains)
-                    if side == "on":
-                        on_best = min(on_best, watch.seconds)
-                    else:
-                        off_best = min(off_best, watch.seconds)
-            attempts.append((on_best / off_best, off_best, on_best))
-            if attempts[-1][0] - 1.0 <= METRICS_MAX_OVERHEAD / 2:
-                break
-        backend.run(trains, metrics=registry)
-    ratio, off_seconds, on_seconds = min(attempts)
-    overhead_ratio = ratio - 1.0
-    histograms: Dict[str, Dict[str, float]] = {}
-    for name in METRICS_KEY_HISTOGRAMS:
-        histogram = registry.histograms.get(name)
-        if histogram is None:
-            continue
-        quantiles = histogram.percentiles()
-        histograms[name] = {
-            "count": int(histogram.count),
-            "sum": float(histogram.sum),
-            "p50": float(quantiles["p50"]),
-            "p95": float(quantiles["p95"]),
-            "p99": float(quantiles["p99"]),
+    probes = ProbeSet.full()
+    with ExitStack() as stack:
+        plain, supervised, vectorized = (
+            stack.enter_context(create_backend(name, program, **options))
+            for name, options in (
+                ("sharded", {"workers": workers}),
+                ("sharded", {"workers": workers, "policy": RunPolicy()}),
+                ("vectorized", {})))
+        off = partial(vectorized.run, trains)
+        sides = {
+            "supervision": (partial(plain.run, trains),
+                            partial(supervised.run, trains)),
+            "metrics": (off, partial(vectorized.run, trains, metrics=meter)),
+            "probes": (off, partial(vectorized.run, trains, probes=probes)),
         }
-    return {
-        "frames": frames,
-        "timesteps": timesteps,
-        "max_overhead": METRICS_MAX_OVERHEAD,
-        "overhead": {
-            "metrics_off": {"seconds": off_seconds,
-                            "frames_per_sec": frames / off_seconds},
-            "metrics_on": {"seconds": on_seconds,
-                           "frames_per_sec": frames / on_seconds},
-            "overhead_ratio": overhead_ratio,
-        },
-        "histograms": histograms,
-    }
+        values = {}
+        for key, (without, with_) in sides.items():
+            seconds = paired_seconds(without, with_, pairs)
+            values[key] = spread(seconds[:, 1] / seconds[:, 0] - 1.0)
+    return values
 
 
-def check_metrics_regression(current: Dict[str, object],
-                             committed: Dict[str, object]) -> List[str]:
-    """Gate fresh metrics measurements against the committed section.
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Row:
+    """One gate: ``measure(**geometry)`` returns ``{key: value}``; each
+    key is bounded by the first ``bounds`` pattern (fnmatch) it matches."""
 
-    One gate: the freshly measured *metrics-on* throughput must stay
-    within the committed ``max_overhead`` (5 %) of the committed
-    *metrics-off* frames/sec.  The fresh number is machine-speed
-    normalized first — scaled by committed-off / fresh-off — because both
-    fresh numbers come from one interleaved measurement: their ratio
-    survives a box that got uniformly slower (or faster) since the
-    baseline was committed, while raw frames/sec do not.  What the gate
-    actually enforces is therefore the *measured metrics overhead*,
-    expressed against the committed baseline.  The ``histograms``
-    snapshot is informational and never gated.
+    name: str
+    measure: Callable[..., Dict[str, object]]
+    geometry: Dict[str, object]
+    bounds: Dict[str, Bound]
+
+    def bound_for(self, key: str) -> Bound:
+        for pattern, bound in self.bounds.items():
+            if fnmatch.fnmatchcase(key, pattern):
+                return bound
+        raise KeyError(f"row {self.name!r} has no bound for key {key!r}")
+
+
+_DAG_NETS = ["mnist-inception", "cifar-multiskip"]
+
+ROWS: Tuple[Row, ...] = (
+    Row("speedup", measure_speedup,
+        {"frames": 64, "timesteps": 16, "pairs": 10},
+        {"vectorized_vs_reference": Bound(">=", 10.0),
+         "optimized_vs_unoptimized": Bound(">=", 1.5)}),
+    Row("noc", measure_noc,
+        {"networks": _DAG_NETS, "timesteps": 8, "seed": 0},
+        {"*.optimized.*": Bound("<=", 1.25, of_committed=True),
+         "*.reduction.wave_depth": Bound(">=", 0.20),
+         "*.reduction.estimated_cycles": Bound(">", 0.0)}),
+    Row("firing", measure_firing,
+        {"networks": _DAG_NETS, "frames": 2, "timesteps": 4, "seed": 0},
+        {"*": EQUAL}),
+    # 4096 frames: at 1024 the supervision pairs' quartiles lie 13-41
+    # points apart on 2 vCPUs, far wider than the 5 % bound they meet
+    Row("overhead", measure_overhead,
+        {"frames": 4096, "timesteps": 16, "pairs": 10, "workers": 2},
+        {"supervision": Bound("<=", 0.05),
+         "metrics": Bound("<=", 0.05),
+         "probes": REPORTED}),
+)
+
+
+def measure_rows() -> Dict[str, Dict[str, object]]:
+    """``{row: {key: value}}``, each row measured at its own geometry."""
+    return {row.name: row.measure(**row.geometry) for row in ROWS}
+
+
+GateLine = Tuple[str, str, object, str, str]
+
+
+def gate(measured: Mapping[str, Mapping[str, object]],
+         committed: Mapping[str, Mapping[str, object]]) -> List[GateLine]:
+    """``(row, key, value, bound, verdict)`` for every key of every row.
+
+    A key measured on one side only FAILs: under one geometry the key set
+    is deterministic, so a layer that appeared or vanished is a change in
+    what the program computes.
     """
-    failures: List[str] = []
-    max_overhead = float(committed.get("max_overhead",
-                                       METRICS_MAX_OVERHEAD))
-    fresh = current.get("overhead", {})
-    baseline = committed.get("overhead", {})
-    if fresh and baseline:
-        fresh_on = float(fresh["metrics_on"]["frames_per_sec"])
-        fresh_off = float(fresh["metrics_off"]["frames_per_sec"])
-        committed_fps = float(baseline["metrics_off"]["frames_per_sec"])
-        floor = committed_fps * (1.0 - max_overhead)
-        scale = committed_fps / fresh_off if fresh_off else 0.0
-        measured = fresh_on * scale
-        if measured < floor:
-            failures.append(
-                f"metrics-on throughput {measured:.1f} frames/s "
-                f"(machine-normalized) < {floor:.1f} (committed metrics-off "
-                f"{committed_fps:.1f}, max metrics overhead "
-                f"{max_overhead:.0%})"
-            )
-    return failures
+    lines: List[GateLine] = []
+    for row in ROWS:
+        fresh, baseline = measured[row.name], committed[row.name]
+        for key in sorted(set(fresh) | set(baseline)):
+            if key not in fresh or key not in baseline:
+                side = "measured" if key in fresh else "committed"
+                lines.append((row.name, key, fresh.get(key),
+                              f"only {side}", "FAIL"))
+                continue
+            bound = row.bound_for(key)
+            lines.append((row.name, key, fresh[key],
+                          bound.describe(baseline[key]),
+                          verdict(bound, fresh[key], baseline[key])))
+    return lines
 
 
-#: requests one open-loop serving measurement offers
-SERVING_REQUESTS = 128
-
-#: offered load as a multiple of the measured single-frame vectorized
-#: rate — deliberately above what unbatched serving could sustain, so the
-#: measurement exercises the dynamic batcher (mean batch > 1), not just
-#: the queue
-SERVING_RATE_FACTOR = 4.0
-
-#: throughput a serving run may lose vs the committed (machine-speed
-#: normalized) requests/sec before --check fails.  Wider than the
-#: backend-throughput gate: an end-to-end latency path on a noisy shared
-#: box jitters more than a tight compute loop, and the gate is here to
-#: catch the serving layer collapsing (coalescing breaking, a serialized
-#: queue), not single-digit drift
-SERVING_MAX_DROP = 0.60
-
-#: allowed growth of the (machine-speed normalized) p99 request latency
-#: vs the committed value, as a multiple (2.0 -> may triple)
-SERVING_MAX_P99_GROWTH = 2.0
+def _number(value: float) -> str:
+    return f"{value:.6g}"
 
 
-def measure_serving(requests: int = SERVING_REQUESTS,
-                    timesteps: int = DEFAULT_TIMESTEPS,
-                    repeats: int = 3) -> Dict[str, object]:
-    """The :mod:`repro.serve` section of the perf trajectory.
+def _measured(value) -> str:
+    if value is None:
+        return "-"
+    q1, median, q3 = quartiles(value)
+    if isinstance(value, Mapping):
+        return f"{_number(median)} [{_number(q1)}, {_number(q3)}]"
+    return _number(median)
 
-    Offers ``requests`` single-frame requests open-loop
-    (:func:`open_loop_load`) against a live server at
-    ``SERVING_RATE_FACTOR`` times the measured single-frame vectorized
-    rate, so the dynamic batcher has to coalesce to keep up.  Records
-    achieved requests/sec, p50/p95/p99 request latency and the mean batch
-    size, plus the single-frame ``baseline`` rate of this machine —
-    ``--check`` uses the committed/fresh baseline ratio to normalize
-    machine speed out, exactly like the metrics gate.  Best of
-    ``repeats`` attempts (highest achieved throughput) for the same
-    noise-robustness reason every other section takes a best-of.
+
+def format_table(lines: Sequence[GateLine]) -> str:
+    """The printer: one aligned line per key, wall-clock keys with their
+    ``[Q1, Q3]``."""
+    table = [("row", "key", "measured [q1, q3]", "bound", "verdict")]
+    table += [(row, key, _measured(value), bound, state)
+              for row, key, value, bound, state in lines]
+    widths = [max(len(cells[column]) for cells in table)
+              for column in range(4)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(cells, widths))
+        + "  " + cells[4]
+        for cells in table)
+
+
+# ----------------------------------------------------------------------
+# The file
+# ----------------------------------------------------------------------
+def load_bench_report(path: os.PathLike) -> Dict[str, Dict[str, object]]:
+    """Committed ``{row: {key: value}}`` of a ``BENCH_engine.json``.
+
+    Raises :class:`FileNotFoundError` when the file is missing and
+    :class:`ValueError` when it is corrupt: not JSON, another schema, a
+    row missing or measured under a geometry other than the table's, or a
+    key the row does not bound or whose value is not a number.
     """
-    from ..serve import ServePolicy, Server
-
-    rng = np.random.default_rng(0)
-    network, arch = mlp_bench_network(timesteps=timesteps)
-    program = compile_network(network, arch).program
-    trains = deterministic_encode(rng.random((requests, 40)), timesteps)
-    single_seconds = time_backend("vectorized", program, trains[:1],
-                                  repeats=max(3, repeats))
-    baseline_fps = 1.0 / single_seconds if single_seconds else 0.0
-    rate = max(1.0, baseline_fps * SERVING_RATE_FACTOR)
-    policy = ServePolicy(batch_window=0.0, max_batch=64,
-                         queue_limit=4 * requests)
-    best: Optional[LoadReport] = None
-    with Server(arch=arch, policy=policy) as server:
-        handle = server.load(network)
-        handle.infer(trains[0])  # warm the schedule + response path
-        for _ in range(max(1, repeats)):
-            report = open_loop_load(handle, trains, rate)
-            if best is None or report.requests_per_sec > \
-                    best.requests_per_sec:
-                best = report
-    return {
-        "requests": requests,
-        "timesteps": timesteps,
-        "rate_factor": SERVING_RATE_FACTOR,
-        "max_drop": SERVING_MAX_DROP,
-        "max_p99_growth": SERVING_MAX_P99_GROWTH,
-        "policy": policy.as_dict(),
-        "baseline": {"frames_per_sec": baseline_fps},
-        "load": best.summary(),
-    }
-
-
-def check_serving(current: Dict[str, object],
-                  committed: Dict[str, object]) -> List[str]:
-    """Gate a fresh serving measurement against the committed section.
-
-    Two gates, both machine-speed normalized by the committed/fresh ratio
-    of the single-frame vectorized ``baseline`` (the
-    :func:`check_metrics_regression` pattern — the ratio survives a box
-    that got uniformly slower or faster):
-
-    * achieved requests/sec must stay above the committed value minus
-      ``max_drop``;
-    * p99 request latency must stay below the committed value times
-      ``1 + max_p99_growth``.
-    """
-    failures: List[str] = []
-    max_drop = float(committed.get("max_drop", SERVING_MAX_DROP))
-    max_p99_growth = float(committed.get("max_p99_growth",
-                                         SERVING_MAX_P99_GROWTH))
-    fresh_load = current.get("load", {})
-    fresh_base = current.get("baseline", {})
-    committed_load = committed.get("load", {})
-    committed_base = committed.get("baseline", {})
-    if not (fresh_load and fresh_base and committed_load and committed_base):
-        return failures
-    fresh_fps = float(fresh_base.get("frames_per_sec", 0.0))
-    committed_fps = float(committed_base.get("frames_per_sec", 0.0))
-    if fresh_fps <= 0 or committed_fps <= 0:
-        return failures
-    scale = committed_fps / fresh_fps
-    measured_rps = float(fresh_load["requests_per_sec"]) * scale
-    floor = float(committed_load["requests_per_sec"]) * (1.0 - max_drop)
-    if measured_rps < floor:
-        failures.append(
-            f"serving throughput {measured_rps:.1f} requests/s "
-            f"(machine-normalized) < {floor:.1f} (committed "
-            f"{float(committed_load['requests_per_sec']):.1f}, max drop "
-            f"{max_drop:.0%})")
-    measured_p99 = float(fresh_load["p99_ms"]) / scale if scale else 0.0
-    ceiling = float(committed_load["p99_ms"]) * (1.0 + max_p99_growth)
-    if measured_p99 > ceiling:
-        failures.append(
-            f"serving p99 latency {measured_p99:.1f} ms "
-            f"(machine-normalized) > {ceiling:.1f} ms (committed "
-            f"{float(committed_load['p99_ms']):.1f} ms, max growth "
-            f"{max_p99_growth:.0%})")
-    return failures
-
-
-#: default allowed frames/sec regression before --check fails (25 %)
-DEFAULT_CHECK_TOLERANCE = 0.25
-
-
-def check_regression(current: Dict[str, object], committed: Dict[str, object],
-                     tolerance: float = DEFAULT_CHECK_TOLERANCE) -> List[str]:
-    """Compare a fresh throughput section against the committed trajectory.
-
-    Returns one human-readable failure line per backend whose measured
-    frames/sec fell below ``committed * (1 - tolerance)``; an empty list
-    means no regression.  Backends present on only one side are skipped
-    (new backends must not fail the gate; removed ones cannot be measured).
-
-    The gate compares *absolute* frames/sec, so the committed trajectory is
-    only meaningful on comparable hardware: re-baseline (plain
-    ``python -m repro.bench``) after moving machines, and on very noisy
-    shared boxes widen ``--tolerance`` rather than trusting a tight gate —
-    the ``reference`` backend's ratio is a good noise probe, since its
-    interpreter path rarely changes.
-    """
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    current_backends = current.get("backends", {})
-    committed_backends = committed.get("backends", {})
-    failures: List[str] = []
-    for name in sorted(set(current_backends) & set(committed_backends)):
-        measured = float(current_backends[name]["frames_per_sec"])
-        baseline = float(committed_backends[name]["frames_per_sec"])
-        floor = baseline * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"{name}: {measured:.1f} frames/s < {floor:.1f} "
-                f"(committed {baseline:.1f}, tolerance {tolerance:.0%})"
-            )
-    return failures
-
-
-def load_bench_report(path: Optional[os.PathLike] = None) -> Dict[str, object]:
-    """Load the committed BENCH_engine.json trajectory (raises if unusable)."""
-    target = Path(path) if path is not None else Path.cwd() / BENCH_FILENAME
+    target = Path(path)
     try:
-        return json.loads(target.read_text())
+        payload = json.loads(target.read_text())
     except FileNotFoundError:
         raise FileNotFoundError(
-            f"no committed benchmark trajectory at {target}; run "
+            f"no committed measurements at {target}; run "
             "`python -m repro.bench` once to create it"
         ) from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt benchmark trajectory at {target}: {exc}") from exc
+        raise ValueError(f"corrupt measurements at {target}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+        raise ValueError(f"corrupt measurements at {target}: expected "
+                         f"schema {SCHEMA}")
+    stored = payload.get("rows")
+    values: Dict[str, Dict[str, object]] = {}
+    for row in ROWS:
+        entry = stored.get(row.name) if isinstance(stored, dict) else None
+        if not isinstance(entry, dict) or \
+                not isinstance(entry.get("values"), dict):
+            raise ValueError(f"corrupt measurements at {target}: no row "
+                             f"{row.name!r}")
+        if entry.get("geometry") != row.geometry:
+            raise ValueError(
+                f"row {row.name!r} in {target} was measured at geometry "
+                f"{entry.get('geometry')}, the table's is {row.geometry}; "
+                "re-baseline with `python -m repro.bench`")
+        for key, value in entry["values"].items():
+            try:
+                row.bound_for(key)
+                quartiles(value)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"corrupt measurements at {target}: row "
+                                 f"{row.name!r}, key {key!r}: {exc!r}"
+                                 ) from None
+        values[row.name] = entry["values"]
+    return values
 
 
 def git_revision() -> str:
@@ -1001,25 +447,18 @@ def git_revision() -> str:
         else "unknown"
 
 
-def write_bench_report(sections: Dict[str, object],
-                       path: Optional[os.PathLike] = None) -> Path:
-    """Merge ``sections`` into the BENCH_engine.json perf trajectory.
-
-    Existing sections not named in ``sections`` are preserved, so the
-    throughput and scaling benchmarks co-own one file.  Returns the path
-    written.
-    """
-    target = Path(path) if path is not None else Path.cwd() / BENCH_FILENAME
-    payload: Dict[str, object] = {}
-    if target.exists():
-        try:
-            payload = json.loads(target.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = {}
-    payload["schema"] = 1
-    payload["git_rev"] = git_revision()
-    payload["cpu_count"] = os.cpu_count() or 1
-    payload["generated_unix"] = time.time()
-    payload.update(sections)
+def write_bench_report(measured: Mapping[str, Mapping[str, object]],
+                       path: os.PathLike) -> Path:
+    """Write ``measured`` as the whole of a ``BENCH_engine.json``
+    (replacing, never merging, what was there).  Returns the path."""
+    target = Path(path)
+    payload = {
+        "schema": SCHEMA,
+        "git_rev": git_revision(),
+        "cpu_count": os.cpu_count() or 1,
+        "rows": {row.name: {"geometry": row.geometry,
+                            "values": measured[row.name]}
+                 for row in ROWS},
+    }
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
 
     import numpy as np
 
-    from ..bench import seeded_benchmark_graph
+    from ..apps.networks import seeded_benchmark_graph
     from ..core.config import DEFAULT_ARCH
     from ..engine import create_backend
     from ..ir.pipeline import compile as ir_compile

@@ -18,10 +18,9 @@ These are exactly the rules program emission and the simulator follow, so
 the wave-derived estimate equals the simulator's
 ``ExecutionStats.cycles / (frames * timesteps)`` — the parity suite in
 ``tests/test_estimator_parity.py`` pins this for every benchmark builder
-under both the default and NoC-optimized pipelines, and ``python -m
-repro.bench --check`` gates the relative error against a committed
-tolerance.  See ``docs/timing.md`` for the formulas and the measured
-estimate-vs-simulated table.
+under both the default and NoC-optimized pipelines, against the
+:data:`TIMING_TOLERANCE` band and exact equality.  See ``docs/timing.md``
+for the formulas and the measured estimate-vs-simulated table.
 
 Usage
 -----
@@ -50,6 +49,7 @@ Usage
 """
 
 from .model import (
+    TIMING_TOLERANCE,
     LayerTiming,
     TimingEstimate,
     WaveTiming,
@@ -63,6 +63,7 @@ from .model import (
 )
 
 __all__ = [
+    "TIMING_TOLERANCE",
     "LayerTiming",
     "TimingEstimate",
     "WaveTiming",

@@ -33,7 +33,7 @@ def main(argv=None) -> int:
                              "and print both breakdowns")
     args = parser.parse_args(argv)
 
-    from ..bench import seeded_benchmark_graph
+    from ..apps.networks import seeded_benchmark_graph
     from ..core.config import DEFAULT_ARCH
     from ..ir.pipeline import compile as ir_compile
 

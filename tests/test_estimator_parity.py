@@ -31,7 +31,7 @@ from repro.mapping.residual import estimate_residual_cores, map_residual_block
 from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode
 from repro.snn.spec import ConvSpec, ResidualBlockSpec
-from repro.timing import relative_error
+from repro.timing import TIMING_TOLERANCE, relative_error
 
 SMALL_BUILDERS = sorted(name for name in ALL_BUILDERS
                         if name.endswith("-small"))
@@ -42,10 +42,6 @@ FULL_BUILDERS = sorted(name for name in ALL_BUILDERS
 #: estimate to be strictly below the default one on these
 FULL_DAG_BUILDERS = ("mnist-inception", "cifar-multiskip",
                      "mnist-densenet", "cifar-strided")
-
-# the documented tolerance band of the timing model (docs/timing.md) —
-# one source of truth, shared with the `python -m repro.bench --check` gate
-from repro.bench import TIMING_TOLERANCE
 
 
 @pytest.fixture(scope="module")

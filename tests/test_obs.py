@@ -9,12 +9,13 @@ validates against the ``trace_event`` schema.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.apps.networks import ALL_BUILDERS
-from repro.bench import check_obs_regression, mlp_bench_case
+from repro.bench import mlp_bench_case
 from repro.core.config import DEFAULT_ARCH
 from repro.engine import assert_backend_parity, create_backend
 from repro.ir import compile as ir_compile
@@ -127,8 +128,14 @@ def test_sharded_multi_shard_merge_matches_vectorized():
 # No-probe behaviour
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_no_probes_is_a_noop(backend):
-    """probes=None and an empty ProbeSet both attach nothing at all."""
+def test_no_probes_is_a_noop(backend, monkeypatch):
+    """probes=None and an empty ProbeSet both attach nothing at all: no
+    backend even resolves probe points (``resolve`` raises here), so
+    detached probes cost nothing by construction rather than by timing."""
+    def refuse(self, program):
+        raise AssertionError("detached probes were resolved")
+
+    monkeypatch.setattr(ProbeSet, "resolve", refuse)
     program, trains = mlp_bench_case(frames=3, timesteps=4)
     plain = _probed_run(program, trains, backend)
     empty = _probed_run(program, trains, backend, probes=ProbeSet())
@@ -338,118 +345,70 @@ def test_obs_cli_prints_report_and_writes_trace(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# The bench obs gate
+# The bench gate's firing row
 # ----------------------------------------------------------------------
+@pytest.fixture
+def firing_row_only(monkeypatch):
+    """The bench table cut to its ``firing`` row, measured by a fake that
+    returns ``state["rates"]``."""
+    import repro.bench as bench
+
+    state = {"rates": {"net.fc1": 0.125, "net.fc2": 0.5}, "calls": 0}
+
+    def measure(**geometry):
+        state["calls"] += 1
+        return dict(state["rates"])
+
+    row = next(row for row in bench.ROWS if row.name == "firing")
+    monkeypatch.setattr(bench, "ROWS", (replace(row, measure=measure),))
+    return state
+
+
 class TestObsBenchGate:
-    def _section(self, fps=1000.0, rates=None):
-        return {
-            "max_overhead": 0.05,
-            "overhead": {
-                "probe_off": {"seconds": 1.0 / fps, "frames_per_sec": fps},
-                "probe_on": {"seconds": 2.0 / fps, "frames_per_sec": fps / 2},
-                "overhead_ratio": 1.0,
-            },
-            "firing": {
-                "frames": 2, "timesteps": 4, "seed": 0,
-                "networks": rates if rates is not None
-                else {"net": {"fc1": 0.125, "fc2": 0.5}},
-            },
-        }
+    def _verdicts(self, current):
+        from repro.bench import gate
 
-    def test_identical_sections_pass(self):
-        section = self._section()
-        assert check_obs_regression(section, json.loads(
-            json.dumps(section))) == []
+        committed = {"net.fc1": 0.125, "net.fc2": 0.5}
+        return {key: state for _, key, _, _, state in
+                gate({"firing": current}, {"firing": committed})}
 
-    def test_overhead_regression_flagged(self):
-        failures = check_obs_regression(self._section(fps=940.0),
-                                        self._section(fps=1000.0))
-        assert len(failures) == 1 and "probe-off throughput" in failures[0]
+    def test_identical_sections_pass(self, firing_row_only):
+        rates = {"net.fc1": 0.125, "net.fc2": 0.5}
+        assert set(self._verdicts(json.loads(json.dumps(rates))).values()) \
+            == {"ok"}
 
-    def test_overhead_within_gate_passes(self):
-        assert check_obs_regression(self._section(fps=960.0),
-                                    self._section(fps=1000.0)) == []
+    def test_firing_rate_drift_flagged(self, firing_row_only):
+        verdicts = self._verdicts({"net.fc1": 0.125,
+                                   "net.fc2": float(np.nextafter(0.5, 1.0))})
+        assert verdicts == {"net.fc1": "ok", "net.fc2": "FAIL"}
 
-    def test_firing_rate_drift_flagged(self):
-        current = self._section(rates={"net": {"fc1": 0.125, "fc2": 0.25}})
-        failures = check_obs_regression(current, self._section())
-        assert len(failures) == 1
-        assert "fc2" in failures[0] and "drifted" in failures[0]
-
-    def test_missing_layer_flagged(self):
-        current = self._section(rates={"net": {"fc1": 0.125}})
-        failures = check_obs_regression(current, self._section())
-        assert len(failures) == 1 and "fc2" in failures[0]
-
-    def test_disjoint_networks_skipped(self):
-        current = self._section(rates={"other-net": {"fc1": 0.5}})
-        assert check_obs_regression(current, self._section()) == []
+    def test_missing_layer_flagged(self, firing_row_only):
+        assert self._verdicts({"net.fc1": 0.125})["net.fc2"] == "FAIL"
 
 
 class TestObsCheckCli:
-    """--check wiring of the obs section (measurements monkeypatched)."""
+    """--check wiring of the firing row (measurement monkeypatched)."""
 
-    @pytest.fixture
-    def fake_measures(self, monkeypatch):
-        import repro.bench.__main__ as bench_main
+    def _baseline(self, tmp_path, rates):
+        import repro.bench as bench
 
-        calls = {"obs": 0}
-        throughput = {
-            "frames": 8, "timesteps": 4,
-            "backends": {"vectorized": {"seconds": 0.001,
-                                        "frames_per_sec": 1000.0}},
-        }
-        obs_section = TestObsBenchGate()._section()
-
-        def measure_throughput(frames=64, timesteps=16, repeats=5,
-                               check_parity=True):
-            return json.loads(json.dumps(throughput))
-
-        def measure_obs(networks=(), frames=8, timesteps=4, repeats=5,
-                        firing_frames=2, firing_timesteps=4, seed=0):
-            calls["obs"] += 1
-            return json.loads(json.dumps(obs_section))
-
-        monkeypatch.setattr(bench_main, "measure_throughput",
-                            measure_throughput)
-        monkeypatch.setattr(bench_main, "measure_obs", measure_obs)
-        return calls, throughput, obs_section
-
-    def _baseline(self, tmp_path, throughput, obs_section):
         path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps({
-            "schema": 1, "git_rev": "abc1234",
-            "throughput": throughput, "obs": obs_section,
-        }))
+        bench.write_bench_report({"firing": rates}, path)
         return path
 
-    def test_check_gates_obs_section(self, tmp_path, fake_measures):
+    def test_check_gates_obs_section(self, tmp_path, firing_row_only):
         import repro.bench.__main__ as bench_main
 
-        calls, throughput, obs_section = fake_measures
-        baseline = self._baseline(tmp_path, throughput, obs_section)
-        assert bench_main.main(["--check", "--baseline",
-                                str(baseline)]) == 0
-        assert calls["obs"] == 1
+        baseline = self._baseline(tmp_path, dict(firing_row_only["rates"]))
+        assert bench_main.main(["--check", str(baseline)]) == 0
+        assert firing_row_only["calls"] == 1
 
-    def test_check_fails_on_committed_drift(self, tmp_path, fake_measures):
+    def test_check_fails_on_committed_drift(self, tmp_path, firing_row_only):
         import repro.bench.__main__ as bench_main
 
-        _, throughput, obs_section = fake_measures
-        drifted = json.loads(json.dumps(obs_section))
-        drifted["firing"]["networks"]["net"]["fc1"] = 0.75
-        baseline = self._baseline(tmp_path, throughput, drifted)
-        assert bench_main.main(["--check", "--baseline",
-                                str(baseline)]) == 1
-
-    def test_skip_obs_flag(self, tmp_path, fake_measures):
-        import repro.bench.__main__ as bench_main
-
-        calls, throughput, obs_section = fake_measures
-        baseline = self._baseline(tmp_path, throughput, obs_section)
-        assert bench_main.main(["--check", "--skip-obs", "--baseline",
-                                str(baseline)]) == 0
-        assert calls["obs"] == 0
+        drifted = dict(firing_row_only["rates"], **{"net.fc1": 0.75})
+        baseline = self._baseline(tmp_path, drifted)
+        assert bench_main.main(["--check", str(baseline)]) == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.apps.networks import ALL_BUILDERS
-from repro.bench import mlp_bench_case, seeded_benchmark_graph, time_backend
+from repro.apps.networks import ALL_BUILDERS, seeded_benchmark_graph
+from repro.bench import mlp_bench_case
 from repro.core.config import DEFAULT_ARCH
 from repro.engine import create_backend
 from repro.ir import compile as ir_compile
@@ -375,13 +375,6 @@ def test_sharded_merge_tags_worker_spans():
                     if s.track.startswith("shard")}
     assert shard_tracks == {f"shard{i}" for i in range(shards)}
     assert any(s.name == "sharded/merge" for s in registry.spans)
-
-
-def test_bench_time_backend_metrics_option():
-    program, trains = mlp_bench_case(frames=2, timesteps=2)
-    seconds = time_backend("vectorized", program, trains, repeats=1,
-                           metrics=True)
-    assert seconds > 0
 
 
 # ----------------------------------------------------------------------

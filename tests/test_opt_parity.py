@@ -5,9 +5,10 @@ optimized compile produces the same spikes as the default compile and the
 abstract runner, all three execution backends agree on outputs *and*
 statistics, and the per-timestep wave depth goes down.  Under both
 pipelines the schedule optimizer fuses every reduction tree into one
-GEMM.  The full-size acceptance criterion (>= 20 % wave-depth reduction
-on ``mnist-inception`` and ``cifar-multiskip``) runs under the ``slow``
-marker.
+GEMM, grouped where the GEMM is a convolution's.  The full-size
+acceptance criteria (>= 20 % wave-depth reduction on ``mnist-inception``
+and ``cifar-multiskip``, and the grouped GEMMs of the Table III(b) CNN)
+run under the ``slow`` marker.
 """
 
 import numpy as np
@@ -15,8 +16,13 @@ import pytest
 
 from repro.apps.networks import ALL_BUILDERS
 from repro.core.config import DEFAULT_ARCH
-from repro.engine import assert_backend_parity, run as engine_run
-from repro.engine.optimize import DirectPsAdd, TreeAccumulate
+from repro.engine import (
+    assert_backend_parity,
+    create_backend,
+    kernel_class_counts,
+    run as engine_run,
+)
+from repro.engine.optimize import DirectPsAdd, GroupedAccumulate, TreeAccumulate
 from repro.engine.vectorized import prepare_schedule
 from repro.ir import GraphSnnRunner, compile as ir_compile
 from repro.obs import ProbeSet
@@ -76,11 +82,18 @@ def test_optimized_compile_bit_exact_and_shallower(name, rng):
                           backends=("reference", "vectorized", "sharded"),
                           probes=ProbeSet.full())
     assert_backend_parity(default.program, trains, probes=ProbeSet.full())
-    # under both pipelines every PS-NoC reduction tree became one GEMM
+    # under both pipelines every PS-NoC reduction tree became one GEMM.
+    # Every conv builder but cifar-cnn-small runs a conv window grouped
+    # (its windows hold only 7.8x, 5.8x and 4x their grouped MACs, below
+    # ``_GROUPED_MAC_RATIO``), and every builder keeps a dense GEMM (a
+    # single-output tree, or such a window).
     for compiled in (default, optimized):
         ops = prepare_schedule(compiled.program).ops
-        assert any(isinstance(op, TreeAccumulate) for op in ops)
         assert not any(isinstance(op, DirectPsAdd) for op in ops)
+        kinds = kernel_class_counts(ops)
+        assert ("GroupedAccumulate" in kinds) == (
+            name not in ("mnist-mlp-small", "cifar-cnn-small"))
+        assert "TreeAccumulate" in kinds
 
 
 @pytest.mark.slow
@@ -96,3 +109,46 @@ class TestFullSizeAcceptance:
         assert report["reduction"]["total_hops"] > 0
         assert report["optimized"]["max_link_load"] <= \
             report["default"]["max_link_load"]
+
+
+@pytest.mark.slow
+def test_table3b_cnn_runs_its_convs_grouped(rng):
+    """The benchmark's ``cnn-noc`` schedule: conv2's 32 reduction trees run
+    as one grouped GEMM of ``(G, R, M) = (196, 144, 32)`` and conv1's 64
+    cores as four of ``(196, 9, 16)``, none holding its K x N window; fc1's
+    tree stays dense.  Bit-exact with the unoptimized schedule (counts,
+    statistics, every probe) and the abstract runner."""
+    graph = _graph_for("mnist-cnn", rng, timesteps=20)
+    program = ir_compile(graph, DEFAULT_ARCH, optimize_noc=True).program
+    optimized = create_backend("vectorized", program)
+    ops = optimized.schedule.ops
+    grouped = [op for op in ops if isinstance(op, GroupedAccumulate)]
+    assert sorted(op.rows.shape + op.columns.shape[1:] for op in grouped) \
+        == [(196, 9, 16)] * 4 + [(196, 144, 32)]
+    for op in grouped:
+        assert op.window is None and op.weights.size < op.depth * op.width
+    dense = [op for op in ops if type(op) is TreeAccumulate]
+    assert dense and all(len(op.outputs) == 1 for op in dense)
+    weight_bytes = sum(op.weights.nbytes if isinstance(op, GroupedAccumulate)
+                       else op.window.nbytes
+                       for op in ops if hasattr(op, "window"))
+    assert weight_bytes < 10 * 2 ** 20
+
+    trains = deterministic_encode(rng.random((2, graph.input_size)),
+                                  graph.timesteps)
+    probes = ProbeSet.full()
+    fast = optimized.run(trains, probes=probes)
+    plain = create_backend("vectorized", program, optimize=False).run(
+        trains, probes=probes)
+    abstract = GraphSnnRunner(graph).run_spike_trains(trains)
+    np.testing.assert_array_equal(fast.spike_counts, abstract.spike_counts)
+    np.testing.assert_array_equal(fast.spike_counts, plain.spike_counts)
+    np.testing.assert_array_equal(fast.frame_active_axons,
+                                  plain.frame_active_axons)
+    assert fast.stats.summary() == plain.stats.summary()
+    for attr in ("spikes", "potentials", "acc_active"):
+        ours, theirs = getattr(fast.probes, attr), getattr(plain.probes, attr)
+        assert ours.keys() == theirs.keys()
+        for layer, array in ours.items():
+            np.testing.assert_array_equal(array, theirs[layer])
+    assert fast.probes.telemetry.as_dict() == plain.probes.telemetry.as_dict()

@@ -15,9 +15,9 @@ from repro.apps.networks import build_mnist_mlp
 from repro.apps.pipeline import load_dataset, train_reference_ann, ExperimentConfig
 from repro.baselines.block_spike import BlockSpikeRunner
 from repro.core.config import DEFAULT_ARCH
-from repro.snn.conversion import ConversionConfig, convert_ann_to_snn
+from repro.ir import GraphSnnRunner
+from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode, flatten_images
-from repro.snn.runner import AbstractSnnRunner
 
 from conftest import print_table
 
@@ -32,18 +32,18 @@ def trained_setup():
     dataset = load_dataset("mnist", config.train_size, config.test_size, config.seed)
     model = config.model_builder()
     ann_accuracy = train_reference_ann(model, dataset, config)
-    snn = convert_ann_to_snn(model, dataset.train_images[:128],
-                             ConversionConfig(timesteps=20))
-    return dataset, snn, ann_accuracy
+    graph = convert_ann_to_graph(model, dataset.train_images[:128],
+                                 ConversionConfig(timesteps=20))
+    return dataset, graph, ann_accuracy
 
 
 def test_ps_noc_vs_block_spike_accuracy(benchmark, trained_setup):
-    dataset, snn, ann_accuracy = trained_setup
-    trains = deterministic_encode(flatten_images(dataset.test_images), snn.timesteps)
+    dataset, graph, ann_accuracy = trained_setup
+    trains = deterministic_encode(flatten_images(dataset.test_images), graph.timesteps)
     labels = dataset.test_labels
 
-    exact = AbstractSnnRunner(snn).run_spike_trains(trains)
-    baseline_runner = BlockSpikeRunner(snn, DEFAULT_ARCH)
+    exact = GraphSnnRunner(graph).run_spike_trains(trains)
+    baseline_runner = BlockSpikeRunner(graph, DEFAULT_ARCH)
     baseline = benchmark.pedantic(baseline_runner.run_spike_trains, args=(trains,),
                                   rounds=1, iterations=1)
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from repro.apps.networks import build_mnist_mlp
-from repro.mapping.compiler import build_logical_network
+from repro.ir import logical_map
 from repro.mapping.estimator import estimate_mapping
 from repro.mapping.fc import algorithm1_schedule, fc_geometry
 from repro.mapping.placement import place_network
-from repro.snn.conversion import ConversionConfig, convert_ann_to_snn
+from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 
 from conftest import print_table
 
@@ -21,8 +21,8 @@ from conftest import print_table
 @pytest.fixture(scope="module")
 def mlp_snn(mnist_small):
     model = build_mnist_mlp()
-    return convert_ann_to_snn(model, mnist_small.train_images[:64],
-                              ConversionConfig(timesteps=20))
+    return convert_ann_to_graph(model, mnist_small.train_images[:64],
+                                ConversionConfig(timesteps=20))
 
 
 def test_regenerate_fig1_mapping(benchmark, mlp_snn, arch):
@@ -30,7 +30,7 @@ def test_regenerate_fig1_mapping(benchmark, mlp_snn, arch):
     geometry2 = fc_geometry(512, 10, arch)
 
     logical = benchmark.pedantic(
-        build_logical_network, args=(mlp_snn, arch), rounds=1, iterations=1)
+        logical_map, args=(mlp_snn, arch), rounds=1, iterations=1)
     placement = place_network(logical, arch, rows=4, column_aligned_groups=True,
                               layer_fresh_columns=True)
 

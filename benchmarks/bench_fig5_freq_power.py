@@ -11,7 +11,7 @@ from repro.apps.networks import build_mnist_mlp
 from repro.mapping.estimator import estimate_mapping
 from repro.power.frequency import FIG5_FPS_TARGETS, FIG5_PAPER_POINTS, throughput_sweep
 from repro.power.power_model import PowerModel
-from repro.snn.conversion import ConversionConfig, convert_ann_to_snn
+from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 
 from conftest import print_table
 
@@ -19,9 +19,9 @@ from conftest import print_table
 @pytest.fixture(scope="module")
 def mlp_estimate(mnist_small, arch):
     model = build_mnist_mlp()
-    snn = convert_ann_to_snn(model, mnist_small.train_images[:64],
-                             ConversionConfig(timesteps=20))
-    return estimate_mapping(snn, arch)
+    graph = convert_ann_to_graph(model, mnist_small.train_images[:64],
+                                 ConversionConfig(timesteps=20))
+    return estimate_mapping(graph, arch)
 
 
 def test_regenerate_fig5(benchmark, mlp_estimate):

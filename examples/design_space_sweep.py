@@ -14,7 +14,7 @@ from repro.core import ArchitectureConfig
 from repro.datasets import synthetic_mnist
 from repro.mapping import estimate_mapping
 from repro.power import InterchipTraffic, PowerModel
-from repro.snn import ConversionConfig, convert_ann_to_snn
+from repro.snn import ConversionConfig, convert_ann_to_graph
 
 
 CORE_SIZES = [64, 128, 256, 512]
@@ -25,8 +25,8 @@ TIMESTEPS = 20
 def main() -> None:
     data = synthetic_mnist(train_size=64, test_size=8, seed=0)
     model = build_mnist_mlp()
-    snn = convert_ann_to_snn(model, data.train_images[:32],
-                             ConversionConfig(timesteps=TIMESTEPS))
+    graph = convert_ann_to_graph(model, data.train_images[:32],
+                                 ConversionConfig(timesteps=TIMESTEPS))
     power_model = PowerModel()
 
     print(f"{'core size':>10} {'cores':>7} {'chips':>6} {'freq kHz':>10} "
@@ -34,7 +34,7 @@ def main() -> None:
     for size in CORE_SIZES:
         arch = ArchitectureConfig(core_inputs=size, core_neurons=size,
                                   chip_rows=28, chip_cols=28)
-        estimate = estimate_mapping(snn, arch)
+        estimate = estimate_mapping(graph, arch)
         spike_bits, ps_bits = estimate.interchip_bits_per_frame()
         report = power_model.report(
             name=f"mlp@{size}",

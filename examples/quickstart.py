@@ -27,15 +27,14 @@ import numpy as np
 
 from repro.core import small_test_arch
 from repro.engine import ExecutionEngine, assert_backend_parity, list_backends
-from repro.mapping import compile_network
-from repro.snn import AbstractSnnRunner, DenseSpec, SnnNetwork, deterministic_encode
+from repro.ir import GraphSnnRunner, LayerGraph, compile
+from repro.snn import DenseSpec, deterministic_encode
 
 
 def list_networks(names=None, calibration_samples: int = 4, seed: int = 0) -> None:
     """Print every network builder with its core/chip estimate."""
     from repro.apps.networks import ALL_BUILDERS
     from repro.core.config import DEFAULT_ARCH
-    from repro.ir import LayerGraph
     from repro.mapping import estimate_mapping
     from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 
@@ -76,26 +75,21 @@ def main(backend: str = "auto", check_parity: bool = True,
     # neurons, so both layers span several cores and exercise the partial-sum
     # NoC adder trees.
     arch = small_test_arch(core_inputs=16, core_neurons=16, chip_rows=8, chip_cols=8)
-    network = SnnNetwork(
-        name="quickstart",
-        input_shape=(40,),
-        layers=[
-            DenseSpec(name="fc1", weights=rng.integers(-7, 8, size=(40, 24)), threshold=25),
-            DenseSpec(name="fc2", weights=rng.integers(-7, 8, size=(24, 5)), threshold=20),
-        ],
-        timesteps=12,
-    )
+    network = LayerGraph.chain("quickstart", (40,), [
+        DenseSpec(name="fc1", weights=rng.integers(-7, 8, size=(40, 24)), threshold=25),
+        DenseSpec(name="fc2", weights=rng.integers(-7, 8, size=(24, 5)), threshold=20),
+    ], timesteps=12)
 
     # Encode a few random inputs into spike trains and run the abstract SNN.
     inputs = rng.random((4, 40))
     spike_trains = deterministic_encode(inputs, network.timesteps)
-    abstract = AbstractSnnRunner(network).run_spike_trains(spike_trains)
+    abstract = GraphSnnRunner(network).run_spike_trains(spike_trains)
 
     # Compile onto Shenjing and execute through the engine.  With
     # --optimize-noc the repro.opt passes (congestion-aware placement,
     # multicast delivery, reduction trees) rewrite the NoC schedule —
     # bit-exactly, as the lossless-mapping check below still proves.
-    compiled = compile_network(network, arch, optimize_noc=optimize_noc)
+    compiled = compile(network, arch, optimize_noc=optimize_noc)
     print(compiled.describe())
     if show_trace:
         # the per-pass compile trace every compile records (repro.obs

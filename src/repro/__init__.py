@@ -5,14 +5,16 @@ The package is organised as:
 
 * :mod:`repro.core` — hardware model and cycle-level functional simulator;
 * :mod:`repro.mapping` — the software mapping toolchain (logical mapping,
-  placement, routing, compiler);
+  placement, routing, program emission, estimator);
 * :mod:`repro.nn` — numpy ANN substrate (layers, training, quantisation);
-* :mod:`repro.snn` — ANN-to-SNN conversion and the abstract SNN runner;
+* :mod:`repro.snn` — ANN-to-SNN conversion into a layer graph, spike
+  encoders, IF dynamics and layer specs;
 * :mod:`repro.datasets` — synthetic MNIST / CIFAR-10 substitutes;
 * :mod:`repro.power` — energy table, frequency and architectural power model;
 * :mod:`repro.baselines` — block-level-spike baseline and published chip data;
 * :mod:`repro.apps` — the paper's four applications and the experiment pipeline;
-* :mod:`repro.ir` — layer-graph IR and the pass-based compilation pipeline;
+* :mod:`repro.ir` — the layer-graph IR (the one model representation),
+  the abstract SNN runner and the pass-based compilation pipeline;
 * :mod:`repro.opt` — NoC-aware placement & routing optimization passes;
 * :mod:`repro.timing` — schedule-aware analytic cycle model;
 * :mod:`repro.engine` — batched/sharded execution backends;

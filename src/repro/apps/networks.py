@@ -148,11 +148,14 @@ def build_cifar_resnet(seed: int = 0) -> Sequential:
     ``Res/Conv1`` changes the channel count from 16 to 32 and therefore sits
     in front of the residual block; ``Res/Conv2`` and ``Res/Conv3`` (32 -> 32)
     form the block's body with an identity shortcut, which is normalised by
-    the conversion step (Section III.3).
+    the conversion step (Section III.3).  ``Res/Conv2`` is followed by a
+    ReLU: in the SNN it fires spikes of its own, which can only encode
+    non-negative activations.
     """
     rng = _rng(seed)
     res_body = [
         Conv2D(32, 32, 5, padding="same", bias=False, rng=rng, name="res_conv2"),
+        ReLU(name="res_relu"),
         Conv2D(32, 32, 5, padding="same", bias=False, rng=rng, name="res_conv3"),
     ]
     layers = [
@@ -181,6 +184,7 @@ def build_cifar_resnet_small(seed: int = 0) -> Sequential:
     rng = _rng(seed)
     res_body = [
         Conv2D(8, 8, 3, padding="same", bias=False, rng=rng, name="res_conv2"),
+        ReLU(name="res_relu"),
         Conv2D(8, 8, 3, padding="same", bias=False, rng=rng, name="res_conv3"),
     ]
     layers = [

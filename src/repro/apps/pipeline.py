@@ -34,20 +34,15 @@ import numpy as np
 from ..core.config import ArchitectureConfig, DEFAULT_ARCH
 from ..datasets import Dataset, synthetic_cifar10, synthetic_mnist
 from ..engine import create_backend, get_backend
+from ..ir.pipeline import compile as ir_compile
 from ..ir.runner import GraphSnnRunner
-from ..nn.model import Branches, Sequential
+from ..nn.model import Sequential
 from ..nn.training import Adam, SGD, Trainer
 from ..power.interchip import InterchipTraffic
 from ..power.power_model import PowerModel, PowerReport
-from ..snn.conversion import (
-    ConversionConfig,
-    convert_ann_to_graph,
-    convert_ann_to_snn,
-)
+from ..snn.conversion import ConversionConfig, convert_ann_to_graph
 from ..snn.encoding import encode, flatten_images
-from ..snn.runner import AbstractSnnRunner
-from ..snn.spec import SnnNetwork
-from ..mapping.compiler import CompiledNetwork, compile_network
+from ..mapping.compiler import CompiledNetwork
 from ..mapping.estimator import MappingEstimate, estimate_mapping
 from ..obs.profile import absorb_resilience, time_block
 
@@ -205,25 +200,15 @@ def run_experiment(config: ExperimentConfig,
     model = config.model_builder()
     ann_accuracy = train_reference_ann(model, dataset, config)
 
-    # 2. ANN -> SNN conversion.  Sequential models convert through the flat
-    # SnnNetwork path; models containing Branches (DAG topologies: concats,
-    # multi-span skips) convert through the layer-graph converter and are
-    # simulated by the abstract graph runner — the Table IV flow is
-    # otherwise identical.
+    # 2. ANN -> SNN conversion into a layer graph (chains, residual blocks
+    # and branching topologies alike), simulated by the abstract runner
     conversion = ConversionConfig(weight_bits=config.weight_bits,
                                   timesteps=config.timesteps)
     calibration = dataset.train_images[:conversion.max_calibration_samples]
-    is_dag = any(isinstance(layer, Branches) for layer in model.layers)
-    if is_dag:
-        network = convert_ann_to_graph(model, calibration, conversion,
-                                       name=f"{config.name}-snn")
-        runner = GraphSnnRunner(network)
-    else:
-        network = convert_ann_to_snn(model, calibration, conversion,
-                                     name=f"{config.name}-snn")
-        runner = AbstractSnnRunner(network)
+    network = convert_ann_to_graph(model, calibration, conversion,
+                                   name=f"{config.name}-snn")
     test_trains = encode(flatten_images(dataset.test_images), config.timesteps)
-    snn_result = runner.run_spike_trains(test_trains)
+    snn_result = GraphSnnRunner(network).run_spike_trains(test_trains)
     snn_accuracy = snn_result.accuracy(dataset.test_labels)
 
     # 3. mapping (timed — the "Mapping time" row).  The stopwatch context
@@ -237,7 +222,7 @@ def run_experiment(config: ExperimentConfig,
     routed = None  # the packed RoutePlan, whenever one was built
     with time_block(registry, "pipeline/mapping") as mapping_watch:
         if config.hardware_frames != 0:
-            compiled: Optional[CompiledNetwork] = compile_network(
+            compiled: Optional[CompiledNetwork] = ir_compile(
                 network, arch, rows=config.fabric_rows,
                 optimize_noc=config.optimize_noc, metrics=registry)
             routed = compiled.routes
@@ -250,8 +235,6 @@ def run_experiment(config: ExperimentConfig,
             if config.optimize_noc:
                 # the estimator needs the optimized placement and the packed
                 # waves to price the NoC schedule the opt passes produce
-                from ..ir.pipeline import compile as ir_compile
-
                 mapped = ir_compile(network, arch, rows=config.fabric_rows,
                                     pipeline=_estimation_pipeline(),
                                     materialize=False, metrics=registry)
@@ -352,7 +335,6 @@ def run_experiment(config: ExperimentConfig,
             "timing_source": estimate.cycle_source,
             "execution_backend": execution_backend,
             "hardware_frames": 0 if compiled is None else frames,
-            "converter": "graph" if is_dag else "flat",
             "optimize_noc": config.optimize_noc,
             "noc": noc_metrics,
             "probes": probe_summary,

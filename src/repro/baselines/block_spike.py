@@ -16,15 +16,16 @@ directly — the ablation benchmark of DESIGN.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
 from ..core.config import ArchitectureConfig
+from ..ir.graph import GRAPH_INPUT, LayerGraph
+from ..ir.runner import _linear_sum
 from ..snn.neurons import BatchedIfState
-from ..snn.runner import SnnRunResult, _conv_sum, _dense_sum
-from ..snn.spec import ConvSpec, DenseSpec, LayerSpec, ResidualBlockSpec, SnnNetwork
+from ..snn.runner import SnnRunResult, _dense_sum
+from ..snn.spec import DenseSpec, LayerSpec
 
 
 class BaselineError(RuntimeError):
@@ -67,75 +68,58 @@ class _BlockSplitDenseState:
         return self.aggregator.step(aggregate)
 
 
-class _ExactLayerState:
-    """Layers that fit in a core (or are not split) run exactly."""
-
-    def __init__(self, layer: LayerSpec, batch: int):
-        self.layer = layer
-        if isinstance(layer, ResidualBlockSpec):
-            self.body_states = [
-                BatchedIfState.create(batch, spec.out_size, spec.threshold)
-                for spec in layer.body[:-1]
-            ]
-            self.output_state = BatchedIfState.create(
-                batch, layer.out_size, layer.body[-1].threshold
-            )
-        else:
-            self.body_states = []
-            self.output_state = BatchedIfState.create(batch, layer.out_size, layer.threshold)
-
-    def step(self, spikes: np.ndarray) -> np.ndarray:
-        layer = self.layer
-        if isinstance(layer, DenseSpec):
-            return self.output_state.step(_dense_sum(spikes, layer))
-        if isinstance(layer, ConvSpec):
-            return self.output_state.step(_conv_sum(spikes, layer))
-        if isinstance(layer, ResidualBlockSpec):
-            current = spikes
-            for spec, state in zip(layer.body[:-1], self.body_states):
-                current = state.step(_conv_sum(current, spec))
-            body_sum = _conv_sum(current, layer.body[-1])
-            shortcut_sum = _conv_sum(spikes, layer.shortcut)
-            return self.output_state.step(body_sum + shortcut_sum)
-        raise BaselineError(f"unsupported layer spec {layer!r}")
-
-
 class BlockSpikeRunner:
     """Abstract SNN runner with block-level (spike-quantised) cross-core sums.
 
-    Only fully connected layers larger than one core are affected — they are
-    the layers whose split the paper's Fig. 1 illustrates; other layers run
-    exactly, so any accuracy difference against
-    :class:`~repro.snn.runner.AbstractSnnRunner` is attributable purely to
-    the cross-core communication scheme.
+    Runs a chain :class:`~repro.ir.graph.LayerGraph` (the baseline has no
+    partial-sum NoC, so it cannot add contributions: add-joins and concats
+    are rejected).  Only fully connected layers larger than one core are
+    affected — they are the layers whose split the paper's Fig. 1
+    illustrates; other layers run exactly, so any accuracy difference
+    against :class:`~repro.ir.GraphSnnRunner` is attributable purely to the
+    cross-core communication scheme.
     """
 
-    def __init__(self, network: SnnNetwork, arch: ArchitectureConfig):
-        network.validate()
-        self.network = network
+    def __init__(self, graph: LayerGraph, arch: ArchitectureConfig):
+        graph.validate()
+        previous = GRAPH_INPUT
+        for node in graph.topological()[1:]:
+            if node.kind != "fire" or node.inputs != (previous,):
+                raise BaselineError(
+                    f"the block-spike baseline runs chains only; node "
+                    f"{node.name!r} is a {'join' if node.is_join else node.kind}"
+                )
+            previous = node.name
+        self.graph = graph
         self.arch = arch
+        self.specs: List[LayerSpec] = [node.specs[0] for node in graph.fire_nodes()]
+
+    def _is_split(self, spec: LayerSpec) -> bool:
+        return isinstance(spec, DenseSpec) and spec.in_size > self.arch.core_inputs
 
     def run_spike_trains(self, spike_trains: np.ndarray) -> SnnRunResult:
         spike_trains = np.asarray(spike_trains, dtype=bool)
         if spike_trains.ndim == 2:
             spike_trains = spike_trains[None, ...]
-        if spike_trains.ndim != 3 or spike_trains.shape[2] != self.network.input_size:
+        if spike_trains.ndim != 3 or spike_trains.shape[2] != self.graph.input_size:
             raise BaselineError(
                 "spike_trains must have shape (N, T, input_size) with input_size "
-                f"{self.network.input_size}"
+                f"{self.graph.input_size}"
             )
         batch, timesteps, _ = spike_trains.shape
-        states: List[object] = []
-        for layer in self.network.layers:
-            if isinstance(layer, DenseSpec) and layer.in_size > self.arch.core_inputs:
-                states.append(_BlockSplitDenseState(layer, self.arch, batch))
-            else:
-                states.append(_ExactLayerState(layer, batch))
-        counts = np.zeros((batch, self.network.output_size), dtype=np.int64)
+        states = [
+            _BlockSplitDenseState(spec, self.arch, batch) if self._is_split(spec)
+            else BatchedIfState.create(batch, spec.out_size, spec.threshold)
+            for spec in self.specs
+        ]
+        counts = np.zeros((batch, self.graph.output_size), dtype=np.int64)
         for step in range(timesteps):
             spikes = spike_trains[:, step, :]
-            for state in states:
-                spikes = state.step(spikes)
+            for spec, state in zip(self.specs, states):
+                if isinstance(state, _BlockSplitDenseState):
+                    spikes = state.step(spikes)
+                else:
+                    spikes = state.step(_linear_sum(spikes, spec))
             counts += spikes
         return SnnRunResult(
             spike_counts=counts,
@@ -145,7 +129,4 @@ class BlockSpikeRunner:
 
     def split_layer_names(self) -> List[str]:
         """Names of the layers that suffer block-level spike aggregation."""
-        return [
-            layer.name for layer in self.network.layers
-            if isinstance(layer, DenseSpec) and layer.in_size > self.arch.core_inputs
-        ]
+        return [spec.name for spec in self.specs if self._is_split(spec)]

@@ -42,8 +42,8 @@ import numpy as np
 
 from ..core import small_test_arch
 from ..engine import create_backend
-from ..mapping import compile_network
-from ..snn import DenseSpec, SnnNetwork, deterministic_encode
+from ..ir import LayerGraph, compile as ir_compile
+from ..snn import DenseSpec, deterministic_encode
 
 #: canonical name of the committed measurements file
 BENCH_FILENAME = "BENCH_engine.json"
@@ -61,19 +61,14 @@ def mlp_bench_case(frames: int = 64, timesteps: int = 16, seed: int = 0):
     rng = np.random.default_rng(seed)
     arch = small_test_arch(core_inputs=16, core_neurons=16, chip_rows=8,
                            chip_cols=8)
-    network = SnnNetwork(
-        name="bench-mlp",
-        input_shape=(40,),
-        layers=[
-            DenseSpec(name="fc1", weights=rng.integers(-7, 8, size=(40, 24)),
-                      threshold=25),
-            DenseSpec(name="fc2", weights=rng.integers(-7, 8, size=(24, 5)),
-                      threshold=20),
-        ],
-        timesteps=timesteps,
-    )
+    network = LayerGraph.chain("bench-mlp", (40,), [
+        DenseSpec(name="fc1", weights=rng.integers(-7, 8, size=(40, 24)),
+                  threshold=25),
+        DenseSpec(name="fc2", weights=rng.integers(-7, 8, size=(24, 5)),
+                  threshold=20),
+    ], timesteps=timesteps)
     trains = deterministic_encode(rng.random((frames, 40)), timesteps)
-    return compile_network(network, arch).program, trains
+    return ir_compile(network, arch).program, trains
 
 
 def paired_seconds(base: Callable[[], object], other: Callable[[], object],
@@ -225,7 +220,6 @@ def measure_firing(networks: Sequence[str], frames: int, timesteps: int,
     """
     from ..apps.networks import seeded_benchmark_graph
     from ..core.config import DEFAULT_ARCH
-    from ..ir.pipeline import compile as ir_compile
     from ..obs import ProbeSet
 
     values: Dict[str, object] = {}

@@ -1,32 +1,26 @@
 """Layer-graph IR and the pass-based compilation pipeline.
 
-``repro.ir`` is the structural backbone of the toolchain: networks — flat
-:class:`~repro.snn.spec.SnnNetwork` lists or arbitrary DAG
-:class:`LayerGraph` topologies (skip connections, multi-branch concats) —
-compile through one pipeline of named, composable, introspectable passes::
+``repro.ir`` is the structural backbone of the toolchain: every network is
+a :class:`LayerGraph` — a chain (:meth:`LayerGraph.chain`) or an arbitrary
+DAG (skip connections, multi-branch concats), as
+:func:`repro.snn.conversion.convert_ann_to_graph` emits it — and compiles
+through one pipeline of named, composable, introspectable passes::
 
     from repro.ir import compile
-    compiled = compile(network, arch)                  # -> Program
-    compiled = compile(network, arch, to="schedule")   # + engine lower/optimize
+    compiled = compile(graph, arch)                    # -> Program
+    compiled = compile(graph, arch, to="schedule")     # + engine lower/optimize
 
     from repro.ir import default_pipeline, FunctionPass
     pipeline = default_pipeline().insert_after(
         "placement", FunctionPass("report", lambda ctx: print(
             ctx.require("placement").chips_used()), requires=("placement",)))
-    compiled = compile(network, arch, pipeline=pipeline)
+    compiled = compile(graph, arch, pipeline=pipeline)
 
 See :mod:`repro.ir.pipeline` for the standard pass list and
 :mod:`repro.ir.graph` for the IR itself.
 """
 
-from .graph import (
-    GRAPH_INPUT,
-    GraphError,
-    GraphNode,
-    LayerGraph,
-    as_layer_graph,
-    graph_from_snn,
-)
+from .graph import GRAPH_INPUT, GraphError, GraphNode, LayerGraph
 from .passes import (
     PASS_REGISTRY,
     CompileContext,
@@ -68,14 +62,12 @@ __all__ = [
     "PassRecord",
     "RoutePlan",
     "SCHEDULE_PASSES",
-    "as_layer_graph",
     "build_pass",
     "build_pipeline",
     "build_routes",
     "compile",
     "default_pipeline",
     "emit_program",
-    "graph_from_snn",
     "logical_map",
     "register_pass",
     "schedule_pipeline",

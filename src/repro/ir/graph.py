@@ -1,8 +1,10 @@
 """The layer-graph intermediate representation.
 
 A :class:`LayerGraph` is a DAG of named nodes over quantised layer specs
-(:mod:`repro.snn.spec`), replacing the flat layer list (and its special-cased
-residual blocks) as the compiler's input:
+(:mod:`repro.snn.spec`) — the one model representation that the converter
+(:func:`repro.snn.conversion.convert_ann_to_graph`), the abstract runner
+(:class:`repro.ir.GraphSnnRunner`) and the compiler (:func:`repro.ir.compile`)
+share:
 
 ``input``
     The external spike source (exactly one, created with the graph).
@@ -20,19 +22,20 @@ residual blocks) as the compiler's input:
     inputs (channel-wise for same-sized feature maps, flat otherwise).  It
     maps to *no* hardware operation — consumers simply read producer lanes.
 
-Nodes are appended in topological order by construction (every input must
+A purely sequential network is a chain (:meth:`LayerGraph.chain`).  Nodes
+are appended in topological order by construction (every input must
 already exist); :meth:`LayerGraph.validate` re-checks acyclicity and shape
 consistency independently so pass pipelines can assert the invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..snn.spec import ConvSpec, DenseSpec, LayerSpec, ResidualBlockSpec, SnnNetwork
+from ..snn.spec import LayerSpec
 
 #: name of the implicit external-input node (matches the logical toolchain's
 #: :data:`repro.mapping.logical.EXTERNAL_INPUT`)
@@ -109,6 +112,17 @@ class LayerGraph:
             self.output = node.name
         return node.name
 
+    @classmethod
+    def chain(cls, name: str, input_shape: Sequence[int],
+              layers: Sequence[LayerSpec], timesteps: int = 20) -> "LayerGraph":
+        """A linear graph in which each layer reads the one before it."""
+        graph = cls(name, input_shape, timesteps=timesteps)
+        previous = GRAPH_INPUT
+        for spec in layers:
+            previous = graph.add_layer(spec, input=previous)
+        graph.validate()
+        return graph
+
     def add_layer(self, spec: LayerSpec, input: str = GRAPH_INPUT) -> str:
         """Append an ordinary firing layer reading from ``input``."""
         return self.add_join(spec.name, [(spec, input)])
@@ -127,11 +141,6 @@ class LayerGraph:
         specs = tuple(spec for spec, _ in contributions)
         inputs = tuple(source for _, source in contributions)
         for spec, source in contributions:
-            if isinstance(spec, ResidualBlockSpec):
-                raise GraphError(
-                    f"join {name!r}: expand residual blocks into fire nodes "
-                    "(graph_from_snn does this) instead of nesting them"
-                )
             producer = self.node(source)
             if spec.in_size != producer.out_size:
                 raise GraphError(
@@ -318,44 +327,3 @@ class LayerGraph:
                              f"(threshold {node.threshold})")
         lines.append(f"  output: {self.output}")
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Conversion from the flat SnnNetwork format
-# ----------------------------------------------------------------------
-def graph_from_snn(snn: SnnNetwork) -> LayerGraph:
-    """Expand a linear :class:`SnnNetwork` into a :class:`LayerGraph`.
-
-    Residual blocks become plain DAG patterns: the body layers are ordinary
-    fire nodes and the block output is an add-join of the last body layer
-    (reading the previous body layer) and the shortcut normalisation layer
-    (reading the block's input) — no special casing survives past this point.
-    """
-    graph = LayerGraph(snn.name, snn.input_shape, timesteps=snn.timesteps,
-                       metadata=dict(snn.metadata))
-    previous = GRAPH_INPUT
-    for spec in snn.layers:
-        if isinstance(spec, ResidualBlockSpec):
-            block_input = previous
-            for body in spec.body[:-1]:
-                previous = graph.add_layer(body, input=previous)
-            previous = graph.add_join(spec.body[-1].name, [
-                (spec.body[-1], previous),
-                (spec.shortcut, block_input),
-            ])
-        else:
-            previous = graph.add_layer(spec, input=previous)
-    graph.output = previous
-    return graph
-
-
-def as_layer_graph(network) -> LayerGraph:
-    """Coerce a compiler input (SnnNetwork or LayerGraph) to a LayerGraph."""
-    if isinstance(network, LayerGraph):
-        return network
-    if isinstance(network, SnnNetwork):
-        return graph_from_snn(network)
-    raise GraphError(
-        f"cannot build a layer graph from {type(network).__name__}; expected "
-        "SnnNetwork or LayerGraph"
-    )

@@ -1,8 +1,8 @@
 """The standard compilation pipeline over the layer-graph IR.
 
-``compile(network, arch)`` drives the whole toolchain as named passes:
+``compile(graph, arch)`` drives the whole toolchain as named passes:
 
-    graph-build   SnnNetwork | LayerGraph  ->  validated LayerGraph
+    graph-build   LayerGraph              ->  validated LayerGraph
     logical-map   LayerGraph              ->  LogicalNetwork (cores, groups,
                                               virtual concat sources)
     placement     LogicalNetwork          ->  Placement
@@ -13,12 +13,12 @@
     optimize      LoweredSchedule         ->  optimized LoweredSchedule
 
 The first six produce the executable :class:`~repro.mapping.program.Program`
-(the historical ``compile_network`` output) plus its analytic cycle estimate
-(``CompiledNetwork.timing``); the last two are the execution
-engine's schedule passes registered in the same framework, so
-``compile(..., to="schedule")`` — or the ``vectorized``/``sharded`` backends
-through :func:`repro.engine.vectorized.prepare_schedule` — run one uniform
-pipeline end to end.  Every pass is introspectable (``PassManager.describe``)
+plus its analytic cycle estimate (``CompiledNetwork.timing``); the last two
+are the execution engine's schedule passes registered in the same
+framework, so ``compile(..., to="schedule")`` — or the
+``vectorized``/``sharded`` backends through
+:func:`repro.engine.vectorized.prepare_schedule` — run one uniform pipeline
+end to end.  Every pass is introspectable (``PassManager.describe``)
 and checkable (``run(validate=True)`` executes per-pass invariants: graph
 acyclicity, logical/placement validity, wave conflict-freedom, program
 consistency).
@@ -47,8 +47,7 @@ from ..mapping.placement import Placement, place_network
 from ..mapping.program import InputBinding, OutputBinding, Phase, Program, TileConfig
 from ..mapping.routing import Transfer, Wave, pack_waves, serial_waves, verify_waves
 from ..mapping.spike_mapping import canonicalise_axons
-from ..snn.spec import SnnNetwork
-from .graph import GRAPH_INPUT, LayerGraph, as_layer_graph
+from .graph import GRAPH_INPUT, GraphError, LayerGraph
 from .passes import (
     CompileContext,
     Pass,
@@ -378,14 +377,17 @@ def _emit_ps_wave(phase: Phase, wave: Wave) -> None:
 # ----------------------------------------------------------------------
 @register_pass
 class GraphBuildPass(Pass):
-    """Normalise the input network into a validated :class:`LayerGraph`."""
+    """Check that the input network is a valid :class:`LayerGraph`."""
 
     name = "graph-build"
     requires = ("network",)
     provides = ("graph",)
 
     def run(self, ctx: CompileContext) -> str:
-        graph = as_layer_graph(ctx.require("network"))
+        graph = ctx.require("network")
+        if not isinstance(graph, LayerGraph):
+            raise GraphError(f"cannot compile a {type(graph).__name__}; "
+                             "expected a LayerGraph")
         graph.validate()
         ctx.set("graph", graph)
         joins = sum(1 for node in graph.fire_nodes() if node.is_join)
@@ -572,20 +574,19 @@ def schedule_pipeline(optimize: bool = True) -> PassManager:
     return build_pipeline(names)
 
 
-def compile(network: Union[SnnNetwork, LayerGraph], arch: ArchitectureConfig,
+def compile(network: LayerGraph, arch: ArchitectureConfig,
             pipeline: Optional[Union[PassManager, Sequence[str]]] = None,
             rows: Optional[int] = None, wave_packing: bool = True,
             materialize: bool = True, validate: bool = False,
             to: str = "program", optimize_noc: bool = False,
             noc_options: Optional[Dict[str, object]] = None,
             metrics=None) -> CompiledNetwork:
-    """Compile a network (flat or DAG) through the pass pipeline.
+    """Compile a network through the pass pipeline.
 
     Parameters
     ----------
     network:
-        An :class:`SnnNetwork` (residual blocks are expanded into add-join
-        patterns) or a :class:`LayerGraph` with arbitrary DAG topology.
+        The :class:`LayerGraph` to compile (a chain or any DAG topology).
     pipeline:
         A custom :class:`PassManager`, or a sequence of registered pass
         names; defaults to :func:`default_pipeline` (or, with
@@ -633,7 +634,6 @@ def compile(network: Union[SnnNetwork, LayerGraph], arch: ArchitectureConfig,
         program=ctx.get("program"),
         logical=ctx.get("logical"),
         placement=ctx.get("placement"),
-        snn=network if isinstance(network, SnnNetwork) else None,
         graph=ctx.get("graph"),
         schedule=ctx.get("schedule"),
         routes=ctx.get("routes"),

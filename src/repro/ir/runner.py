@@ -1,12 +1,12 @@
 """Abstract SNN execution of a :class:`~repro.ir.graph.LayerGraph`.
 
-The DAG counterpart of :class:`~repro.snn.runner.AbstractSnnRunner`: executes
-a layer graph node by node in topological order, time step by time step,
-with exactly the hardware's integer arithmetic — integer weighted sums,
-add-joins summed before one integrate-and-fire stage (the PS-NoC addition),
-concat nodes as pure wiring.  The compiled program must reproduce this
-runner's spikes bit-exactly; the test-suite checks the property on every
-DAG workload.
+The abstract runner: executes a layer graph node by node in topological
+order, time step by time step, with exactly the hardware's integer
+arithmetic — integer weighted sums, add-joins summed before one
+integrate-and-fire stage (the PS-NoC addition), concat nodes as pure
+wiring.  Its accuracy is the "Abstract SNN Accu." row of Table IV.  The
+compiled program must reproduce this runner's spikes bit-exactly; the
+test-suite checks the property on every workload.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Software mapping toolchain (Fig. 3 of the paper).
 
-Logical mapping (layer splitting, PS adder trees, spike-NoC source/destination
-matching), physical mapping (greedy placement, deterministic XY routing,
-conflict-free wave packing) and compilation into a cycle-by-cycle program of
-atomic operations, plus a structural estimator for very large networks.
+Logical mapping (layer splitting, PS adder trees and add-joins, spike-NoC
+source/destination matching), physical mapping (greedy placement,
+deterministic XY routing, conflict-free wave packing) and the program of
+atomic operations the :func:`repro.ir.compile` pipeline emits, plus a
+structural estimator for very large networks.
 """
 
-from .compiler import CompiledNetwork, build_logical_network, compile_network
+from .compiler import CompiledNetwork
 from .conv import ConvGeometry, conv_block_size, conv_geometry, estimate_conv_cores, map_conv
 from .estimator import LayerEstimate, MappingEstimate, estimate_mapping, estimate_network_cores
 from .fc import FcGeometry, algorithm1_schedule, fc_geometry, fold_rounds, map_dense
@@ -32,7 +33,6 @@ from .program import (
     ProgramError,
     TileConfig,
 )
-from .residual import estimate_residual_cores, map_residual_block
 from .routing import (
     Hop,
     Transfer,
@@ -73,9 +73,7 @@ __all__ = [
     "VirtualSource",
     "Wave",
     "algorithm1_schedule",
-    "build_logical_network",
     "canonicalise_axons",
-    "compile_network",
     "conv_block_size",
     "conv_geometry",
     "estimate_conv_cores",
@@ -83,7 +81,6 @@ __all__ = [
     "estimate_mapping",
     "estimate_network_cores",
     "estimate_pool_cores",
-    "estimate_residual_cores",
     "fabric_summary",
     "fc_geometry",
     "fold_rounds",
@@ -93,7 +90,6 @@ __all__ = [
     "map_conv",
     "map_dense",
     "map_pool",
-    "map_residual_block",
     "pack_waves",
     "place_network",
     "route_length",

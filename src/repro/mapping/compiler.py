@@ -1,17 +1,14 @@
-"""End-to-end compilation of an abstract SNN onto Shenjing (Fig. 3).
+"""The result of compiling an abstract SNN onto Shenjing (Fig. 3).
 
-The compilation itself is a pass pipeline over the layer-graph IR
-(:mod:`repro.ir`): ``graph-build`` normalises the network (expanding
-residual blocks into plain add-join DAG patterns), ``logical-map`` splits
-every node over logical cores with its partial-sum reduction groups,
-``placement`` arranges the cores on the tile fabric, ``route-pack`` turns
-the logical movements into XY-routed conflict-free waves and
-``emit-program`` produces the cycle-by-cycle
-:class:`~repro.mapping.program.Program` of atomic operations (Table I).
-
-This module keeps the historical entry points — ``build_logical_network``
-and ``compile_network`` — as thin wrappers over that pipeline, plus the
-:class:`CompiledNetwork` result container the rest of the system consumes.
+The compilation itself is :func:`repro.ir.compile`, a pass pipeline over
+the layer-graph IR: ``graph-build`` validates the
+:class:`~repro.ir.graph.LayerGraph`, ``logical-map`` splits every node over
+logical cores with its partial-sum reduction groups, ``placement`` arranges
+the cores on the tile fabric, ``route-pack`` turns the logical movements
+into XY-routed conflict-free waves and ``emit-program`` produces the
+cycle-by-cycle :class:`~repro.mapping.program.Program` of atomic operations
+(Table I).  This module holds :class:`CompiledNetwork`, the result
+container the rest of the system consumes.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..core.config import ArchitectureConfig
-from ..snn.spec import SnnNetwork
 from .logical import LogicalNetwork
 from .placement import Placement
 from .program import Program
@@ -30,10 +25,10 @@ from .program import Program
 class CompiledNetwork:
     """The result of compiling a network for Shenjing.
 
-    ``snn`` is set when the input was a flat :class:`SnnNetwork`; DAG inputs
-    carry only ``graph``.  ``schedule`` is populated when the pipeline ran
-    through the engine's ``lower``/``optimize`` passes
-    (``compile(..., to="schedule")``), ``routes`` carries the packed
+    ``graph`` is the compiled :class:`~repro.ir.graph.LayerGraph`.
+    ``schedule`` is populated when the pipeline ran through the engine's
+    ``lower``/``optimize`` passes (``compile(..., to="schedule")``),
+    ``routes`` carries the packed
     :class:`~repro.ir.pipeline.RoutePlan` (the input of the
     :mod:`repro.opt` NoC cost model), ``timing`` the
     :class:`~repro.timing.TimingEstimate` the ``timing-model`` pass derived
@@ -43,7 +38,6 @@ class CompiledNetwork:
     program: Program
     logical: LogicalNetwork
     placement: Placement
-    snn: Optional[SnnNetwork] = None
     graph: Optional[object] = None
     schedule: Optional[object] = None
     routes: Optional[object] = None
@@ -51,14 +45,8 @@ class CompiledNetwork:
     trace: List[object] = field(default_factory=list)
 
     @property
-    def network(self):
-        """The compiled network (the SnnNetwork if given, else the graph)."""
-        return self.snn if self.snn is not None else self.graph
-
-    @property
     def name(self) -> str:
-        network = self.network
-        return network.name if network is not None else "<unnamed>"
+        return self.graph.name if self.graph is not None else "<unnamed>"
 
     @property
     def core_count(self) -> int:
@@ -81,50 +69,3 @@ class CompiledNetwork:
     def describe_trace(self) -> str:
         """Per-pass timing/summary of the compilation (empty if untraced)."""
         return "\n".join(str(record) for record in self.trace)
-
-
-# ----------------------------------------------------------------------
-# Logical mapping phase
-# ----------------------------------------------------------------------
-def build_logical_network(network, arch: ArchitectureConfig,
-                          materialize: bool = True) -> LogicalNetwork:
-    """Map every layer of ``network`` onto logical cores (no placement yet).
-
-    Accepts an :class:`SnnNetwork` or a :class:`~repro.ir.graph.LayerGraph`;
-    runs the ``graph-build`` and ``logical-map`` passes.
-    """
-    from ..ir.graph import as_layer_graph
-    from ..ir.pipeline import logical_map
-
-    return logical_map(as_layer_graph(network), arch, materialize=materialize)
-
-
-# ----------------------------------------------------------------------
-# Physical mapping phase
-# ----------------------------------------------------------------------
-def compile_network(network, arch: ArchitectureConfig,
-                    rows: Optional[int] = None,
-                    wave_packing: bool = True,
-                    optimize_noc: bool = False,
-                    metrics=None) -> CompiledNetwork:
-    """Compile a network into an executable Shenjing program.
-
-    Runs the full default pass pipeline (with the :mod:`repro.opt` NoC
-    passes when ``optimize_noc`` is set); see :func:`repro.ir.compile` for
-    custom pipelines, per-pass validation and schedule-producing runs.
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) mirrors the pass
-    timings as ``compile/<pass>`` spans.
-    """
-    from ..ir.pipeline import compile as ir_compile
-
-    return ir_compile(network, arch, rows=rows, wave_packing=wave_packing,
-                      optimize_noc=optimize_noc, metrics=metrics)
-
-
-def _build_program(logical: LogicalNetwork, placement: Placement,
-                   arch: ArchitectureConfig, wave_packing: bool) -> Program:
-    """Route and emit a program from a pre-built logical mapping/placement."""
-    from ..ir.pipeline import build_routes, emit_program
-
-    routes = build_routes(logical, placement, wave_packing=wave_packing)
-    return emit_program(logical, placement, routes, arch)

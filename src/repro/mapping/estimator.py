@@ -36,8 +36,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.config import ArchitectureConfig
-from ..snn.spec import SnnNetwork
-from .compiler import build_logical_network
 from .logical import EXTERNAL_INPUT, LogicalLayer, LogicalNetwork, MappingError
 from .placement import Placement, place_network
 from .routing import Transfer, route_length, xy_route
@@ -123,18 +121,17 @@ class MappingEstimate:
         return "\n".join(lines)
 
 
-def estimate_mapping(snn, arch: ArchitectureConfig,
+def estimate_mapping(graph, arch: ArchitectureConfig,
                      rows: Optional[int] = None,
                      logical: Optional[LogicalNetwork] = None,
                      placement: Optional[Placement] = None,
                      routes=None, timing=None) -> MappingEstimate:
     """Estimate per-time-step operation counts for a network on ``arch``.
 
-    ``snn`` may be an :class:`SnnNetwork` or a
-    :class:`~repro.ir.graph.LayerGraph` (DAG topologies estimate through the
-    same structural walk).  A pre-built logical network / placement can be
-    passed in to avoid recomputing them (the experiment pipeline reuses the
-    compiled ones for networks it also simulates).
+    ``graph`` is a :class:`~repro.ir.graph.LayerGraph`.  A pre-built logical
+    network / placement can be passed in to avoid recomputing them (the
+    experiment pipeline reuses the compiled ones for networks it also
+    simulates).
 
     When ``routes`` (a compiled :class:`~repro.ir.pipeline.RoutePlan`) is
     given, per-layer **cycles** are delegated to the :mod:`repro.timing`
@@ -146,7 +143,10 @@ def estimate_mapping(snn, arch: ArchitectureConfig,
     stay structural either way.
     """
     if logical is None:
-        logical = build_logical_network(snn, arch, materialize=False)
+        # circular at module scope: repro.ir compiles through this package
+        from ..ir.pipeline import logical_map
+
+        logical = logical_map(graph, arch, materialize=False)
     if placement is None:
         placement = place_network(logical, arch, rows=rows)
 
@@ -154,8 +154,8 @@ def estimate_mapping(snn, arch: ArchitectureConfig,
     if timing is None and routes is not None:
         from ..timing import time_route_plan
 
-        timing = time_route_plan(routes, arch, name=snn.name,
-                                 timesteps=snn.timesteps)
+        timing = time_route_plan(routes, arch, name=graph.name,
+                                 timesteps=graph.timesteps)
     if timing is not None:
         wave_cycles = timing.per_layer()
         missing = [layer.name for layer in logical.layers
@@ -176,13 +176,13 @@ def estimate_mapping(snn, arch: ArchitectureConfig,
             estimate.cycles = wave_cycles[layer.name]
         estimates.append(estimate)
     return MappingEstimate(
-        name=snn.name,
+        name=graph.name,
         arch=arch,
         layers=estimates,
         total_cores=logical.n_cores,
         chips=placement.chips_used(),
         fabric=(placement.rows, placement.cols),
-        timesteps=snn.timesteps,
+        timesteps=graph.timesteps,
         timing=timing,
     )
 
@@ -261,22 +261,20 @@ def _estimate_layer(layer: LogicalLayer, logical: LogicalNetwork, placement: Pla
 # ----------------------------------------------------------------------
 # Pure-arithmetic core counting (no LogicalCore materialisation at all)
 # ----------------------------------------------------------------------
-def estimate_network_cores(network, arch: ArchitectureConfig) -> Dict[str, int]:
-    """Per-node logical core counts of a network, by geometry alone.
+def estimate_network_cores(graph, arch: ArchitectureConfig) -> Dict[str, int]:
+    """Per-node logical core counts of a layer graph, by geometry alone.
 
     Walks the layer graph and applies the same tiling decisions the mapper
     makes — including the *forced* shared tiling of add-joins — without
     building any cores.  The test-suite asserts these counts match
-    :func:`build_logical_network` actuals for every benchmark builder, which
+    :func:`repro.ir.logical_map` actuals for every benchmark builder, which
     is what keeps this estimator from drifting.
     """
-    from ..ir.graph import as_layer_graph
     from ..snn.spec import DenseSpec
     from .conv import estimate_conv_cores
     from .fc import fc_geometry
     from .join import estimate_join_cores
 
-    graph = as_layer_graph(network)
     counts: Dict[str, int] = {}
     for node in graph.topological():
         if node.kind != "fire":

@@ -20,7 +20,7 @@ import threading
 from typing import Dict, Tuple
 
 from ..ir.pipeline import CompiledNetwork
-from ..ir.pipeline import compile as compile_network
+from ..ir.pipeline import compile as ir_compile
 
 
 def fingerprint(obj: object) -> str:
@@ -67,7 +67,7 @@ class ArtifactCache:
             if compiled is not None:
                 self.hits += 1
                 return key, compiled, True
-            compiled = compile_network(network, arch, **options)
+            compiled = ir_compile(network, arch, **options)
             self._entries[key] = compiled
             self.misses += 1
             return key, compiled, False

@@ -1,17 +1,13 @@
-"""SNN substrate: conversion, encoding, IF dynamics and the abstract runner.
+"""SNN substrate: conversion, encoding, IF dynamics and layer specifications.
 
 This package turns trained ANNs into abstract spiking networks (integer
-weights, integer thresholds, binary spikes) and simulates them exactly as the
-hardware does — which is what makes the paper's "no accuracy loss from
-mapping" claim checkable bit for bit.
+weights, integer thresholds, binary spikes) held as a
+:class:`~repro.ir.graph.LayerGraph`, which :class:`repro.ir.GraphSnnRunner`
+simulates exactly as the hardware does — which is what makes the paper's
+"no accuracy loss from mapping" claim checkable bit for bit.
 """
 
-from .conversion import (
-    ConversionConfig,
-    ConversionError,
-    convert_ann_to_graph,
-    convert_ann_to_snn,
-)
+from .conversion import ConversionConfig, ConversionError, convert_ann_to_graph
 from .encoding import (
     EncodingError,
     deterministic_encode,
@@ -21,19 +17,10 @@ from .encoding import (
     spike_rates,
 )
 from .neurons import BatchedIfState, IfNeuronArray, NeuronError
-from .runner import AbstractSnnRunner, RunnerError, SnnRunResult, run_on_shenjing
-from .spec import (
-    ConvSpec,
-    DenseSpec,
-    LayerSpec,
-    ResidualBlockSpec,
-    SnnNetwork,
-    SpecError,
-    pool_spec,
-)
+from .runner import RunnerError, SnnRunResult
+from .spec import ConvSpec, DenseSpec, LayerSpec, SpecError, pool_spec
 
 __all__ = [
-    "AbstractSnnRunner",
     "BatchedIfState",
     "ConversionConfig",
     "ConversionError",
@@ -43,18 +30,14 @@ __all__ = [
     "IfNeuronArray",
     "LayerSpec",
     "NeuronError",
-    "ResidualBlockSpec",
     "RunnerError",
-    "SnnNetwork",
     "SnnRunResult",
     "SpecError",
     "convert_ann_to_graph",
-    "convert_ann_to_snn",
     "deterministic_encode",
     "encode",
     "flatten_images",
     "pool_spec",
     "poisson_encode",
-    "run_on_shenjing",
     "spike_rates",
 ]

@@ -3,12 +3,15 @@
 The paper's central deployment story is transfer learning: take a
 conventionally trained ANN, convert it to a rate-coded SNN (following Cao et
 al. [6] and, for residual networks, Hu et al. [5]) and map it onto Shenjing
-without retraining.  This module implements that conversion:
+without retraining.  :func:`convert_ann_to_graph` implements that
+conversion:
 
 1. **Data-based weight normalisation** — the activations of every firing
    point are profiled on calibration data; each layer's weights are rescaled
    by ``previous_scale / current_scale`` so that with a firing threshold of
-   1.0 the spike rates approximate the ANN activations.
+   1.0 the spike rates approximate the ANN activations.  The scale is
+   tracked *per channel*, so branches profiled to different activation
+   scales feed downstream layers correctly.
 2. **Fixed-point quantisation** — the normalised weights are quantised to the
    hardware's signed weight width (5 bits) with a per-layer scale, and the
    threshold is expressed in the same integer units.
@@ -19,19 +22,10 @@ without retraining.  This module implements that conversion:
    through the PS NoC, exactly the mechanism of Section III.3.  Identity
    branches become normalisation layers with weights ``diag(lambda)``.
 
-Two outputs are supported:
-
-* :func:`convert_ann_to_graph` — the general converter.  It emits a
-  :class:`~repro.ir.graph.LayerGraph`: plain layers become fire nodes,
-  addition merges become add-join nodes, concatenation merges become
-  wiring-only concat nodes.  Weight normalisation tracks a *per-channel*
-  scale vector, so branches profiled to different activation scales feed
-  downstream layers correctly.
-* :func:`convert_ann_to_snn` — the historical flat converter for purely
-  sequential models (residual blocks included), producing the
-  :class:`~repro.snn.spec.SnnNetwork` "abstract SNN" format that the
-  Table IV flows consume.  The compiler expands either form into the same
-  layer graph.
+The output is a :class:`~repro.ir.graph.LayerGraph`: plain layers become
+fire nodes, addition merges become add-join nodes, concatenation merges
+become wiring-only concat nodes.  A ``Sequential`` model without merges is
+simply a chain graph.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import numpy as np
 from ..nn.layers import AvgPool2D, Conv2D, Dense, Flatten, Layer, ReLU
 from ..nn.model import Branches, ResidualBlock, Sequential
 from ..nn.quantize import quantize_symmetric, quantize_threshold
-from .spec import ConvSpec, DenseSpec, ResidualBlockSpec, SnnNetwork, pool_spec
+from .spec import ConvSpec, DenseSpec, pool_spec
 
 
 class ConversionError(ValueError):
@@ -143,31 +137,6 @@ def _capture_activations(model: Sequential, x: np.ndarray) -> Dict[str, np.ndarr
     return activations
 
 
-class _ShapeTracker:
-    """Tracks the spatial shape of the tensor flowing through the network."""
-
-    def __init__(self, input_shape: Tuple[int, ...]):
-        self.shape: Tuple[int, ...] = tuple(int(v) for v in input_shape)
-
-    def require_image(self, layer_name: str) -> Tuple[int, int, int]:
-        if len(self.shape) != 3:
-            raise ConversionError(
-                f"layer {layer_name} needs an image input, current shape is {self.shape}"
-            )
-        return self.shape  # type: ignore[return-value]
-
-    def require_flat(self, layer_name: str, expected: int) -> None:
-        size = int(np.prod(self.shape))
-        if size != expected:
-            raise ConversionError(
-                f"layer {layer_name} expects {expected} inputs, but the current "
-                f"tensor has {size} elements (shape {self.shape})"
-            )
-
-
-# ----------------------------------------------------------------------
-# The general graph-emitting converter
-# ----------------------------------------------------------------------
 class _GraphConverter:
     """Walks an ANN recursively, emitting layer-graph nodes.
 
@@ -417,10 +386,14 @@ def convert_ann_to_graph(model: Sequential, calibration: np.ndarray,
                          name: Optional[str] = None):
     """Convert a trained ANN into an abstract SNN layer graph.
 
-    The general converter: supports everything :func:`convert_ann_to_snn`
-    does plus arbitrary DAG topologies built with
+    Supports ``Dense``, ``Conv2D``, ``AvgPool2D``, ``Flatten``, ``ReLU``
+    and ``ResidualBlock`` layers (parameterised layers must have zero
+    biases) and arbitrary DAG topologies built with
     :class:`~repro.nn.model.Branches` (addition merges of any span,
-    channel concatenations, nested freely).  Returns a
+    channel concatenations, nested freely).  ``calibration`` is a batch of
+    representative inputs used to profile activations for weight
+    normalisation; ``config`` defaults to the paper's operating point
+    (5-bit weights).  Returns a
     :class:`~repro.ir.graph.LayerGraph` ready for
     :func:`repro.ir.compile` and :class:`repro.ir.GraphSnnRunner`.
     """
@@ -452,243 +425,3 @@ def convert_ann_to_graph(model: Sequential, calibration: np.ndarray,
     graph.output = node
     graph.validate()
     return graph
-
-
-# ----------------------------------------------------------------------
-# The historical flat converter (sequential models, SnnNetwork output)
-# ----------------------------------------------------------------------
-def convert_ann_to_snn(model: Sequential, calibration: np.ndarray,
-                       config: ConversionConfig | None = None,
-                       name: Optional[str] = None) -> SnnNetwork:
-    """Convert a trained :class:`Sequential` ANN into an abstract SNN.
-
-    Parameters
-    ----------
-    model:
-        The trained ANN.  Only ``Dense``, ``Conv2D``, ``AvgPool2D``,
-        ``Flatten``, ``ReLU`` and ``ResidualBlock`` layers are supported and
-        parameterised layers must have zero biases.  Models containing
-        :class:`~repro.nn.model.Branches` are DAGs — convert those with
-        :func:`convert_ann_to_graph`.
-    calibration:
-        A batch of representative inputs (same layout as training data) used
-        to profile activations for weight normalisation.
-    config:
-        Conversion parameters; defaults to the paper's operating point
-        (5-bit weights).
-    """
-    config = config or ConversionConfig()
-    calibration = _prepare_calibration(model, calibration, config)
-
-    activations = _capture_activations(model, calibration)
-    input_scale = _activation_scale(calibration, config.percentile)
-
-    layers: List = []
-    tracker = _ShapeTracker(model.input_shape)
-    previous_scale = input_scale
-
-    for layer in model.layers:
-        if isinstance(layer, ReLU):
-            continue
-        if isinstance(layer, Flatten):
-            tracker.shape = (int(np.prod(tracker.shape)),)
-            continue
-        if isinstance(layer, Dense):
-            _check_no_bias(layer)
-            tracker.require_flat(layer.name, layer.in_features)
-            current_scale = _activation_scale(activations[layer.name], config.percentile)
-            normalised = layer.params["weight"] * (previous_scale / current_scale)
-            quantised = quantize_symmetric(normalised, config.weight_bits)
-            layers.append(DenseSpec(
-                name=layer.name,
-                weights=quantised.values,
-                threshold=quantize_threshold(1.0, quantised.scale),
-                scale=quantised.scale,
-            ))
-            tracker.shape = (layer.out_features,)
-            previous_scale = current_scale
-            continue
-        if isinstance(layer, Conv2D):
-            _check_no_bias(layer)
-            input_shape = tracker.require_image(layer.name)
-            current_scale = _activation_scale(activations[layer.name], config.percentile)
-            normalised = layer.params["weight"] * (previous_scale / current_scale)
-            quantised = quantize_symmetric(normalised, config.weight_bits)
-            spec = ConvSpec(
-                name=layer.name,
-                weights=quantised.values,
-                threshold=quantize_threshold(1.0, quantised.scale),
-                input_shape=input_shape,
-                stride=layer.stride,
-                pad=layer.pad,
-                scale=quantised.scale,
-            )
-            layers.append(spec)
-            tracker.shape = spec.output_shape
-            previous_scale = current_scale
-            continue
-        if isinstance(layer, AvgPool2D):
-            input_shape = tracker.require_image(layer.name)
-            spec = pool_spec(
-                name=layer.name,
-                channels=input_shape[2],
-                pool=layer.pool,
-                input_shape=input_shape,
-            )
-            layers.append(spec)
-            tracker.shape = spec.output_shape
-            # Pooling does not change the activation scale (mean <= max).
-            continue
-        if isinstance(layer, ResidualBlock):
-            block_spec, out_shape, previous_scale = _convert_residual_block(
-                layer, activations, tracker, previous_scale, config
-            )
-            layers.append(block_spec)
-            tracker.shape = out_shape
-            continue
-        if isinstance(layer, Branches):
-            raise ConversionError(
-                f"layer {layer.name} is a branching topology; use "
-                "convert_ann_to_graph to produce a LayerGraph"
-            )
-        raise ConversionError(f"unsupported layer type {type(layer).__name__} ({layer.name})")
-
-    return SnnNetwork(
-        name=name or f"{model.name}-snn",
-        input_shape=model.input_shape,
-        layers=layers,
-        timesteps=config.timesteps,
-        metadata={
-            "weight_bits": config.weight_bits,
-            "percentile": config.percentile,
-            "source_model": model.name,
-        },
-    )
-
-
-def _convert_residual_block(block: ResidualBlock, activations: Dict[str, np.ndarray],
-                            tracker: _ShapeTracker, previous_scale: float,
-                            config: ConversionConfig):
-    """Convert one residual block, synthesising the shortcut normalisation layer."""
-    input_shape = tracker.require_image(block.name)
-    block_input_scale = previous_scale
-    block_output_scale = _activation_scale(activations[block.name], config.percentile)
-
-    body_specs: List[ConvSpec] = []
-    shape = input_shape
-    scale = previous_scale
-    last_normalised: Optional[np.ndarray] = None
-    last_layer: Optional[Conv2D] = None
-    last_input_shape = input_shape
-    for index, sub in enumerate(block.body):
-        if not isinstance(sub, Conv2D):
-            raise ConversionError(
-                f"residual block {block.name} contains unsupported body layer "
-                f"{type(sub).__name__}"
-            )
-        _check_no_bias(sub)
-        is_last = index == len(block.body) - 1
-        target_scale = block_output_scale if is_last else _activation_scale(
-            activations[sub.name], config.percentile
-        )
-        normalised = sub.params["weight"] * (scale / target_scale)
-        if is_last:
-            # Quantised later, jointly with the shortcut: on hardware the
-            # shortcut's partial sums are added to this layer's partial sums
-            # as raw integers through the PS NoC, so both must share a scale.
-            last_normalised = normalised
-            last_layer = sub
-            last_input_shape = shape
-            scale = target_scale
-            continue
-        quantised = quantize_symmetric(normalised, config.weight_bits)
-        spec = ConvSpec(
-            name=sub.name,
-            weights=quantised.values,
-            threshold=quantize_threshold(1.0, quantised.scale),
-            input_shape=shape,
-            stride=sub.stride,
-            pad=sub.pad,
-            scale=quantised.scale,
-        )
-        body_specs.append(spec)
-        shape = spec.output_shape
-        scale = target_scale
-
-    assert last_normalised is not None and last_layer is not None
-    last_spec, shortcut_spec = _quantize_block_output(
-        block, last_layer, last_normalised, last_input_shape, input_shape,
-        block_input_scale, block_output_scale, config,
-    )
-    body_specs.append(last_spec)
-    block_spec = ResidualBlockSpec(name=block.name, body=body_specs, shortcut=shortcut_spec)
-    return block_spec, last_spec.output_shape, block_output_scale
-
-
-def _quantize_block_output(block: ResidualBlock, last_layer: Conv2D,
-                           last_normalised: np.ndarray,
-                           last_input_shape: Tuple[int, int, int],
-                           block_input_shape: Tuple[int, int, int],
-                           input_scale: float, output_scale: float,
-                           config: ConversionConfig) -> Tuple[ConvSpec, ConvSpec]:
-    """Quantise the block's output layer and its shortcut with a shared scale.
-
-    The shortcut normalisation layer of Section III.3 has weights
-    ``diag(lambda)`` with ``lambda = input_scale / output_scale`` (identity
-    shortcut) or the projection's weights rescaled by the same factor.  The
-    shared quantisation scale is chosen so the larger of (largest normalised
-    output-layer weight, largest shortcut weight) maps to the largest
-    representable integer weight.
-    """
-    if block.projection is not None:
-        if not isinstance(block.projection, Conv2D):
-            raise ConversionError(
-                f"residual block {block.name} has an unsupported projection layer "
-                f"{type(block.projection).__name__}"
-            )
-        _check_no_bias(block.projection)
-        shortcut_normalised = block.projection.params["weight"] * (input_scale / output_scale)
-        shortcut_stride = block.projection.stride
-        shortcut_pad = block.projection.pad
-    else:
-        channels_in = block_input_shape[2]
-        lam = input_scale / output_scale
-        shortcut_normalised = np.zeros((1, 1, channels_in, channels_in), dtype=np.float64)
-        for channel in range(channels_in):
-            shortcut_normalised[0, 0, channel, channel] = lam
-        shortcut_stride = 1
-        shortcut_pad = 0
-
-    qmax = (1 << (config.weight_bits - 1)) - 1
-    magnitude = max(
-        float(np.abs(last_normalised).max(initial=0.0)),
-        float(np.abs(shortcut_normalised).max(initial=0.0)),
-    )
-    shared_scale = magnitude / qmax if magnitude > 0 else 1.0
-    last_q = quantize_symmetric(last_normalised, config.weight_bits, scale=shared_scale)
-    shortcut_q = quantize_symmetric(shortcut_normalised, config.weight_bits, scale=shared_scale)
-
-    last_spec = ConvSpec(
-        name=last_layer.name,
-        weights=last_q.values,
-        threshold=quantize_threshold(1.0, shared_scale),
-        input_shape=last_input_shape,
-        stride=last_layer.stride,
-        pad=last_layer.pad,
-        scale=shared_scale,
-    )
-    shortcut_spec = ConvSpec(
-        name=f"{block.name}.shortcut",
-        weights=shortcut_q.values,
-        threshold=1,
-        input_shape=block_input_shape,
-        stride=shortcut_stride,
-        pad=shortcut_pad,
-        scale=shared_scale,
-    )
-    if shortcut_spec.output_shape != last_spec.output_shape:
-        raise ConversionError(
-            f"residual block {block.name}: shortcut output {shortcut_spec.output_shape} "
-            f"does not match block output {last_spec.output_shape}"
-        )
-    return last_spec, shortcut_spec

@@ -1,26 +1,26 @@
-"""Abstract SNN simulator.
+"""Result type and integer kernels of the abstract SNN simulator.
 
-Executes an :class:`~repro.snn.spec.SnnNetwork` layer by layer, time step by
-time step, using exactly the integer arithmetic that the hardware performs:
-integer weighted sums, integrate-and-fire with reset by subtraction, binary
-spikes between layers.  Its accuracy is the "Abstract SNN Accu." row of
-Table IV; the hardware functional simulator must reproduce its spike output
-bit-exactly once the network is mapped ("Shenjing Accu." row).
+:class:`repro.ir.GraphSnnRunner` executes a layer graph time step by time
+step with exactly the integer arithmetic the hardware performs: integer
+weighted sums (:func:`_dense_sum`, :func:`_conv_sum`, shared with the
+block-level spike baseline), integrate-and-fire with reset by subtraction,
+binary spikes between layers.  Its accuracy is the "Abstract SNN Accu." row
+of Table IV; the hardware functional simulator must reproduce its spike
+output bit-exactly once the network is mapped ("Shenjing Accu." row).
 
-The runner also reports per-layer spike activity, which feeds the power
-model's switching-activity estimate (the paper quotes 6.25 % for MNIST MLP).
+:class:`SnnRunResult` also reports per-layer spike activity, which feeds the
+power model's switching-activity estimate (the paper quotes 6.25 % for MNIST
+MLP).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from .encoding import EncoderName, encode, flatten_images
-from .neurons import BatchedIfState
-from .spec import ConvSpec, DenseSpec, LayerSpec, ResidualBlockSpec, SnnNetwork
+from .spec import ConvSpec, DenseSpec
 
 
 class RunnerError(RuntimeError):
@@ -74,153 +74,3 @@ def _conv_sum(spikes: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
 def _dense_sum(spikes: np.ndarray, spec: DenseSpec) -> np.ndarray:
     return spikes.astype(np.int64) @ spec.weights
-
-
-def run_on_shenjing(network: SnnNetwork, spike_trains: np.ndarray, arch=None,
-                    backend: str = "auto", rows: Optional[int] = None,
-                    collect_stats: bool = True):
-    """Compile ``network`` onto Shenjing and execute it on an engine backend.
-
-    Maps the network with the full toolchain and runs the pre-encoded spike
-    trains through :mod:`repro.engine` (backend selectable by name; all
-    backends are bit-exact with the cycle-level reference simulator; the
-    default ``"auto"`` picks reference / vectorized / sharded from the
-    batch size).  Returns the backend's
-    :class:`~repro.core.simulator.SimulationResult`.
-    """
-    # Imported lazily: the mapping toolchain and engine already depend on
-    # repro.snn, so a module-level import would be circular.
-    from ..core.config import DEFAULT_ARCH
-    from ..engine import run as engine_run
-    from ..mapping.compiler import compile_network
-
-    compiled = compile_network(network, arch or DEFAULT_ARCH, rows=rows)
-    return engine_run(compiled.program, spike_trains, backend=backend,
-                      collect_stats=collect_stats)
-
-
-class _LayerState:
-    """Per-layer integrate-and-fire state for one batch."""
-
-    def __init__(self, layer: LayerSpec, batch: int):
-        self.layer = layer
-        if isinstance(layer, ResidualBlockSpec):
-            self.body_states = [
-                BatchedIfState.create(batch, spec.out_size, spec.threshold)
-                for spec in layer.body[:-1]
-            ]
-            self.output_state = BatchedIfState.create(
-                batch, layer.out_size, layer.body[-1].threshold
-            )
-        else:
-            self.body_states = []
-            self.output_state = BatchedIfState.create(batch, layer.out_size, layer.threshold)
-
-    def step(self, spikes: np.ndarray) -> np.ndarray:
-        layer = self.layer
-        if isinstance(layer, DenseSpec):
-            return self.output_state.step(_dense_sum(spikes, layer))
-        if isinstance(layer, ConvSpec):
-            return self.output_state.step(_conv_sum(spikes, layer))
-        if isinstance(layer, ResidualBlockSpec):
-            block_input = spikes
-            current = spikes
-            for spec, state in zip(layer.body[:-1], self.body_states):
-                current = state.step(_conv_sum(current, spec))
-            body_sum = _conv_sum(current, layer.body[-1])
-            shortcut_sum = _conv_sum(block_input, layer.shortcut)
-            return self.output_state.step(body_sum + shortcut_sum)
-        raise RunnerError(f"unsupported layer spec {layer!r}")
-
-
-class AbstractSnnRunner:
-    """Layer-by-layer, step-by-step simulator of an abstract SNN."""
-
-    def __init__(self, network: SnnNetwork):
-        network.validate()
-        self.network = network
-
-    # ------------------------------------------------------------------
-    def run_spike_trains(self, spike_trains: np.ndarray,
-                         return_output_trains: bool = False) -> SnnRunResult:
-        """Simulate pre-encoded spike trains of shape ``(N, T, input_size)``."""
-        spike_trains = np.asarray(spike_trains, dtype=bool)
-        if spike_trains.ndim == 2:
-            spike_trains = spike_trains[None, ...]
-        if spike_trains.ndim != 3 or spike_trains.shape[2] != self.network.input_size:
-            raise RunnerError(
-                "spike_trains must have shape (N, T, input_size) with input_size "
-                f"{self.network.input_size}"
-            )
-        batch, timesteps, _ = spike_trains.shape
-        states = [_LayerState(layer, batch) for layer in self.network.layers]
-        counts = np.zeros((batch, self.network.output_size), dtype=np.int64)
-        spike_totals = {layer.name: 0 for layer in self.network.layers}
-        spike_totals["input"] = 0
-        output_trains = (
-            np.zeros((batch, timesteps, self.network.output_size), dtype=bool)
-            if return_output_trains else None
-        )
-        for step in range(timesteps):
-            spikes = spike_trains[:, step, :]
-            spike_totals["input"] += int(spikes.sum())
-            for state in states:
-                spikes = state.step(spikes)
-                spike_totals[state.layer.name] += int(spikes.sum())
-            counts += spikes
-            if output_trains is not None:
-                output_trains[:, step, :] = spikes
-        activity = self._activity(spike_totals, batch, timesteps)
-        return SnnRunResult(
-            spike_counts=counts,
-            predictions=np.argmax(counts, axis=1),
-            timesteps=timesteps,
-            layer_activity=activity,
-            output_spike_trains=output_trains,
-        )
-
-    def run(self, inputs: np.ndarray, timesteps: Optional[int] = None,
-            encoder: EncoderName = "deterministic", seed: int = 0,
-            return_output_trains: bool = False) -> SnnRunResult:
-        """Encode real-valued inputs into spike trains and simulate them."""
-        timesteps = timesteps or self.network.timesteps
-        flat = flatten_images(np.asarray(inputs, dtype=np.float64))
-        if flat.ndim == 1:
-            flat = flat[None, :]
-        if flat.shape[1] != self.network.input_size:
-            raise RunnerError(
-                f"input size {flat.shape[1]} does not match network input "
-                f"{self.network.input_size}"
-            )
-        spike_trains = encode(flat, timesteps, method=encoder, seed=seed)
-        return self.run_spike_trains(spike_trains, return_output_trains=return_output_trains)
-
-    def accuracy(self, inputs: np.ndarray, labels: np.ndarray,
-                 timesteps: Optional[int] = None,
-                 encoder: EncoderName = "deterministic", seed: int = 0) -> float:
-        """Convenience wrapper: classification accuracy on a labelled set."""
-        result = self.run(inputs, timesteps=timesteps, encoder=encoder, seed=seed)
-        return result.accuracy(labels)
-
-    # ------------------------------------------------------------------
-    def run_on_shenjing(self, spike_trains: np.ndarray, arch=None,
-                        backend: str = "auto", rows: Optional[int] = None):
-        """Compile this runner's network and execute it on a hardware backend.
-
-        Convenience wrapper around :func:`run_on_shenjing` for the common
-        "does the mapped hardware agree with the abstract SNN?" workflow.
-        """
-        return run_on_shenjing(self.network, spike_trains, arch=arch,
-                               backend=backend, rows=rows)
-
-    # ------------------------------------------------------------------
-    def _activity(self, spike_totals: Dict[str, int], batch: int,
-                  timesteps: int) -> Dict[str, float]:
-        sizes = {"input": self.network.input_size}
-        for layer in self.network.layers:
-            sizes[layer.name] = layer.out_size
-        activity = {}
-        for name, total in spike_totals.items():
-            denom = batch * timesteps * sizes[name]
-            activity[name] = total / denom if denom else 0.0
-        return activity

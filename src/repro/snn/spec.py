@@ -1,12 +1,14 @@
-"""Abstract SNN network specification.
+"""Abstract SNN layer specifications.
 
-After ANN-to-SNN conversion (:mod:`repro.snn.conversion`) a network is a list
-of *layer specifications* holding integer weights and integer firing
-thresholds.  This abstract model is what both
+After ANN-to-SNN conversion (:mod:`repro.snn.conversion`) every layer is a
+*layer specification* holding integer weights and an integer firing
+threshold: a :class:`DenseSpec` or a :class:`ConvSpec` (pooling is a
+diagonal :class:`ConvSpec`, see :func:`pool_spec`).  A network is a
+:class:`~repro.ir.graph.LayerGraph` over these specs, which both
 
-* the abstract SNN simulator (:mod:`repro.snn.runner`) executes to obtain the
-  "Abstract SNN Accu." row of Table IV, and
-* the mapping toolchain (:mod:`repro.mapping`) lowers onto Shenjing cores.
+* the abstract SNN simulator (:class:`repro.ir.GraphSnnRunner`) executes to
+  obtain the "Abstract SNN Accu." row of Table IV, and
+* the mapping toolchain (:func:`repro.ir.compile`) lowers onto Shenjing cores.
 
 Because both consumers start from the same integer weights and thresholds,
 the paper's claim that mapping is lossless can be checked bit-exactly: the
@@ -19,8 +21,8 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -142,64 +144,7 @@ class ConvSpec:
         return int(np.prod(self.output_shape))
 
 
-@dataclass
-class ResidualBlockSpec:
-    """A spiking residual block following Hu et al. (reference [5] of the paper).
-
-    ``body`` is a list of :class:`ConvSpec`; all but the last fire spikes of
-    their own.  The last body layer's weighted sum is added to the weighted
-    sum of the ``shortcut`` layer (the paper's normalisation layer with
-    weights ``diag(lambda)``), and only then integrated and fired — on
-    hardware this addition travels through the partial-sum NoCs.
-    """
-
-    name: str
-    body: List[ConvSpec]
-    shortcut: ConvSpec
-
-    def __post_init__(self) -> None:
-        if not self.body:
-            raise SpecError(f"{self.name}: residual body must not be empty")
-        if self.shortcut.input_shape != self.body[0].input_shape:
-            raise SpecError(
-                f"{self.name}: shortcut input shape {self.shortcut.input_shape} "
-                f"differs from block input {self.body[0].input_shape}"
-            )
-        if self.shortcut.output_shape != self.body[-1].output_shape:
-            raise SpecError(
-                f"{self.name}: shortcut output shape {self.shortcut.output_shape} "
-                f"differs from block output {self.body[-1].output_shape}"
-            )
-        for first, second in zip(self.body, self.body[1:]):
-            if first.output_shape != second.input_shape:
-                raise SpecError(
-                    f"{self.name}: body layers {first.name} -> {second.name} "
-                    "have mismatched shapes"
-                )
-
-    @property
-    def input_shape(self) -> Tuple[int, int, int]:
-        return self.body[0].input_shape
-
-    @property
-    def output_shape(self) -> Tuple[int, int, int]:
-        return self.body[-1].output_shape
-
-    @property
-    def in_size(self) -> int:
-        return int(np.prod(self.input_shape))
-
-    @property
-    def out_size(self) -> int:
-        return int(np.prod(self.output_shape))
-
-    @property
-    def threshold(self) -> int:
-        """Threshold of the block's output integrate-and-fire stage."""
-        return self.body[-1].threshold
-
-
-LayerSpec = Union[DenseSpec, ConvSpec, ResidualBlockSpec]
+LayerSpec = Union[DenseSpec, ConvSpec]
 
 
 def pool_spec(name: str, channels: int, pool: int, input_shape: Tuple[int, int, int],
@@ -224,61 +169,3 @@ def pool_spec(name: str, channels: int, pool: int, input_shape: Tuple[int, int, 
         pad=0,
         scale=1.0 / (pool * pool * weight_value),
     )
-
-
-@dataclass
-class SnnNetwork:
-    """A complete abstract SNN: an ordered list of layer specifications."""
-
-    name: str
-    input_shape: Tuple[int, ...]
-    layers: List[LayerSpec] = field(default_factory=list)
-    timesteps: int = 20
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.input_shape = tuple(int(v) for v in self.input_shape)
-        if self.timesteps <= 0:
-            raise SpecError("timesteps must be positive")
-        self.validate()
-
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check that consecutive layer shapes are compatible."""
-        current = int(np.prod(self.input_shape))
-        for layer in self.layers:
-            if layer.in_size != current:
-                raise SpecError(
-                    f"layer {layer.name} expects {layer.in_size} inputs but the "
-                    f"previous layer produces {current}"
-                )
-            current = layer.out_size
-
-    @property
-    def input_size(self) -> int:
-        return int(np.prod(self.input_shape))
-
-    @property
-    def output_size(self) -> int:
-        if not self.layers:
-            return self.input_size
-        return self.layers[-1].out_size
-
-    def layer_names(self) -> List[str]:
-        return [layer.name for layer in self.layers]
-
-    def describe(self) -> str:
-        lines = [f"SnnNetwork '{self.name}' (input {self.input_shape}, "
-                 f"T={self.timesteps})"]
-        for layer in self.layers:
-            if isinstance(layer, DenseSpec):
-                lines.append(f"  {layer.name:<20} dense {layer.in_size} -> {layer.out_size} "
-                             f"(threshold {layer.threshold})")
-            elif isinstance(layer, ConvSpec):
-                lines.append(f"  {layer.name:<20} conv {layer.input_shape} -> "
-                             f"{layer.output_shape} k={layer.kernel} s={layer.stride} "
-                             f"(threshold {layer.threshold})")
-            else:
-                lines.append(f"  {layer.name:<20} residual {layer.input_shape} -> "
-                             f"{layer.output_shape} ({len(layer.body)} body layers)")
-        return "\n".join(lines)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core import ArchitectureConfig, small_test_arch
-from repro.snn.spec import ConvSpec, DenseSpec, ResidualBlockSpec, SnnNetwork, pool_spec
+from repro.ir import LayerGraph
+from repro.snn.spec import ConvSpec, DenseSpec, pool_spec
 
 
 @pytest.fixture
@@ -32,24 +33,24 @@ def conv_arch() -> ArchitectureConfig:
 
 
 @pytest.fixture
-def dense_snn(rng) -> SnnNetwork:
-    """A two-layer dense SNN that spans several 16x16 cores."""
+def dense_snn(rng) -> LayerGraph:
+    """A two-layer dense SNN chain that spans several 16x16 cores."""
     w1 = rng.integers(-7, 8, size=(40, 24))
     w2 = rng.integers(-7, 8, size=(24, 5))
-    return SnnNetwork(
-        name="toy-dense",
-        input_shape=(40,),
-        layers=[
-            DenseSpec(name="fc1", weights=w1, threshold=25),
-            DenseSpec(name="fc2", weights=w2, threshold=20),
-        ],
-        timesteps=8,
-    )
+    return LayerGraph.chain("toy-dense", (40,), [
+        DenseSpec(name="fc1", weights=w1, threshold=25),
+        DenseSpec(name="fc2", weights=w2, threshold=20),
+    ], timesteps=8)
 
 
 @pytest.fixture
-def conv_snn(rng) -> SnnNetwork:
-    """A small conv + pool + residual + dense SNN for equivalence tests."""
+def conv_snn(rng) -> LayerGraph:
+    """A small conv + pool + residual + dense SNN for equivalence tests.
+
+    The residual block is ``res1 -> res2`` with a 1x1 shortcut from
+    ``pool1``: ``res2`` is an add-join of the body's last conv and the
+    shortcut, so its partial sums meet on the PS NoC.
+    """
     h, w, cin = 8, 8, 2
     conv1 = ConvSpec(name="conv1", weights=rng.integers(-2, 4, size=(3, 3, cin, 4)),
                      threshold=10, input_shape=(h, w, cin), stride=1, pad=1)
@@ -63,15 +64,15 @@ def conv_snn(rng) -> SnnNetwork:
         weights=(np.eye(4, dtype=np.int64) * 2).reshape(1, 1, 4, 4),
         threshold=1, input_shape=pool1.output_shape, stride=1, pad=0,
     )
-    block = ResidualBlockSpec(name="block", body=[body1, body2], shortcut=shortcut)
-    fc = DenseSpec(name="fc", weights=rng.integers(-3, 4, size=(block.out_size, 5)),
+    fc = DenseSpec(name="fc", weights=rng.integers(-3, 4, size=(body2.out_size, 5)),
                    threshold=35)
-    return SnnNetwork(
-        name="toy-conv",
-        input_shape=(h, w, cin),
-        layers=[conv1, pool1, block, fc],
-        timesteps=6,
-    )
+    graph = LayerGraph("toy-conv", (h, w, cin), timesteps=6)
+    graph.add_layer(conv1)
+    graph.add_layer(pool1, input="conv1")
+    graph.add_layer(body1, input="pool1")
+    graph.add_join("res2", [(body2, "res1"), (shortcut, "pool1")])
+    graph.add_layer(fc, input="res2")
+    return graph
 
 
 @pytest.fixture

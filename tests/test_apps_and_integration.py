@@ -60,6 +60,18 @@ class TestTableIIIStructures:
         assert shapes["conv3"] == (6, 6, 64)
         assert shapes["fc3"] == (10,)
 
+    def test_resnet_body_fires_between_its_convs(self):
+        """The SNN fires at ``res_conv2``, so the ANN must apply its ReLU."""
+        from repro.nn.layers import Conv2D, ReLU
+        from repro.nn.model import ResidualBlock
+
+        for builder in (build_cifar_resnet, build_cifar_resnet_small):
+            block = next(layer for layer in builder().layers
+                         if isinstance(layer, ResidualBlock))
+            assert [type(layer) for layer in block.body] == [Conv2D, ReLU, Conv2D]
+            assert [layer.name for layer in block.body] == \
+                ["res_conv2", "res_relu", "res_conv3"]
+
     def test_all_builders_have_no_biases(self):
         for builder in TABLE_III_BUILDERS.values():
             model = builder()
@@ -147,8 +159,8 @@ class TestEndToEndPipeline:
     def test_dag_experiment_with_noc_optimization(self):
         """The Table IV flow on a Branches (DAG) model, NoC passes enabled.
 
-        Exercises the graph converter path of ``run_experiment`` end to
-        end: convert_ann_to_graph + GraphSnnRunner for the abstract run,
+        Exercises ``run_experiment`` end to end on a branching model:
+        convert_ann_to_graph + GraphSnnRunner for the abstract run,
         the repro.opt pipeline for the mapping, and a cycle-verified
         hardware simulation that must match the graph runner bit-exactly.
         """
@@ -163,7 +175,6 @@ class TestEndToEndPipeline:
         )
         result = run_experiment(config)
         assert result.hardware_matches_abstract is True
-        assert result.metadata["converter"] == "graph"
         assert result.metadata["optimize_noc"] is True
         # compiled mappings price cycles from the packed waves (repro.timing)
         assert result.metadata["timing_source"] == "waves"
@@ -183,7 +194,6 @@ class TestEndToEndPipeline:
             hardware_frames=0, optimize_noc=True, seed=0,
         )
         result = run_experiment(config)
-        assert result.metadata["converter"] == "graph"
         assert result.shenjing_accuracy == pytest.approx(result.snn_accuracy)
         assert result.cores > 10
         # even without a program, the optimize_noc estimator path routes the
@@ -193,12 +203,12 @@ class TestEndToEndPipeline:
     def test_mlp_full_size_core_count_matches_paper(self):
         """The full 784-512-10 MLP maps onto exactly 10 cores (Fig. 1 / Table IV)."""
         from repro.mapping.estimator import estimate_mapping
-        from repro.snn.conversion import ConversionConfig, convert_ann_to_snn
+        from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
         from repro.datasets import synthetic_mnist
 
         data = synthetic_mnist(train_size=16, test_size=4, seed=0)
-        snn = convert_ann_to_snn(build_mnist_mlp(), data.train_images,
-                                 ConversionConfig(timesteps=20))
-        estimate = estimate_mapping(snn, DEFAULT_ARCH)
+        graph = convert_ann_to_graph(build_mnist_mlp(), data.train_images,
+                                     ConversionConfig(timesteps=20))
+        estimate = estimate_mapping(graph, DEFAULT_ARCH)
         assert estimate.total_cores == 10
         assert estimate.chips == 1

@@ -11,16 +11,16 @@ from repro.baselines.reference import (
 )
 from repro.core.config import small_test_arch
 from repro.datasets import Dataset, DatasetError, synthetic_cifar10, synthetic_mnist
+from repro.ir import GraphSnnRunner, LayerGraph
 from repro.snn.encoding import deterministic_encode
-from repro.snn.runner import AbstractSnnRunner
-from repro.snn.spec import DenseSpec, SnnNetwork
+from repro.snn.spec import ConvSpec, DenseSpec
 
 
 class TestBlockSpikeBaseline:
     def _network(self, rng, inputs=48, hidden=12, outputs=4, timesteps=12):
-        return SnnNetwork(
-            name="baseline-net", input_shape=(inputs,),
-            layers=[
+        return LayerGraph.chain(
+            "baseline-net", (inputs,),
+            [
                 DenseSpec(name="fc1", weights=rng.integers(-6, 7, size=(inputs, hidden)),
                           threshold=20),
                 DenseSpec(name="fc2", weights=rng.integers(-6, 7, size=(hidden, outputs)),
@@ -39,7 +39,7 @@ class TestBlockSpikeBaseline:
         network = self._network(rng)
         inputs = rng.random((6, network.input_size))
         trains = deterministic_encode(inputs, network.timesteps)
-        exact = AbstractSnnRunner(network).run_spike_trains(trains)
+        exact = GraphSnnRunner(network).run_spike_trains(trains)
         baseline = BlockSpikeRunner(network, big_arch).run_spike_trains(trains)
         np.testing.assert_array_equal(exact.spike_counts, baseline.spike_counts)
 
@@ -48,7 +48,7 @@ class TestBlockSpikeBaseline:
         network = self._network(rng)
         inputs = rng.random((20, network.input_size))
         trains = deterministic_encode(inputs, network.timesteps)
-        exact = AbstractSnnRunner(network).run_spike_trains(trains)
+        exact = GraphSnnRunner(network).run_spike_trains(trains)
         baseline = BlockSpikeRunner(network, arch).run_spike_trains(trains)
         # re-quantising partial sums into spikes changes the computation
         assert not np.array_equal(exact.spike_counts, baseline.spike_counts)
@@ -58,6 +58,26 @@ class TestBlockSpikeBaseline:
         runner = BlockSpikeRunner(self._network(rng), arch)
         with pytest.raises(BaselineError):
             runner.run_spike_trains(np.zeros((1, 3, 7), dtype=bool))
+
+    def test_rejects_joins(self, conv_snn):
+        """No partial-sum NoC, no add-join: the baseline runs chains only."""
+        arch = small_test_arch(core_inputs=16, core_neurons=16)
+        with pytest.raises(BaselineError, match="'res2' is a join"):
+            BlockSpikeRunner(conv_snn, arch)
+
+    def test_exact_conv_layers_match_graph_runner(self, rng):
+        """Conv layers are never split: a conv chain runs exactly."""
+        conv = ConvSpec(name="conv", weights=rng.integers(-2, 3, size=(3, 3, 1, 2)),
+                        threshold=4, input_shape=(6, 6, 1), pad=1)
+        fc = DenseSpec(name="fc", weights=rng.integers(-3, 4, size=(72, 3)),
+                       threshold=12)
+        network = LayerGraph.chain("conv-net", (6, 6, 1), [conv, fc], timesteps=8)
+        trains = deterministic_encode(rng.random((4, 36)), network.timesteps)
+        big_arch = small_test_arch(core_inputs=128, core_neurons=64)
+        exact = GraphSnnRunner(network).run_spike_trains(trains)
+        baseline = BlockSpikeRunner(network, big_arch).run_spike_trains(trains)
+        assert exact.spike_counts.sum() > 0
+        np.testing.assert_array_equal(exact.spike_counts, baseline.spike_counts)
 
 
 class TestTableVReferences:

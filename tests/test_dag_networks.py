@@ -23,8 +23,7 @@ from repro.ir import GraphSnnRunner, compile as ir_compile
 from repro.nn.layers import LayerError
 from repro.nn.model import Branches, Sequential
 from repro.nn.training import SGD, Trainer
-from repro.snn.conversion import ConversionConfig, ConversionError, \
-    convert_ann_to_graph, convert_ann_to_snn
+from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode
 
 
@@ -94,11 +93,6 @@ class TestDagConversion:
         # contributions of one join share a quantisation scale
         for join in (inner, outer):
             assert len({spec.scale for spec in join.specs}) == 1
-
-    def test_flat_converter_rejects_branches(self, rng):
-        model = build_mnist_inception_small()
-        with pytest.raises(ConversionError, match="convert_ann_to_graph"):
-            convert_ann_to_snn(model, rng.random((4, 28, 28, 1)))
 
     def test_all_builders_convert_through_graph_path(self, rng):
         """Every builder — Table III and DAG — takes the graph route."""

@@ -2,10 +2,10 @@
 
 Two invariants, both cheap enough for tier-1:
 
-* every ``repro.*`` dotted path referenced inside a code fence of any
-  ``docs/*.md`` file must resolve — the module prefix imports and the
-  remaining attribute chain exists — so renames and removals surface as a
-  test failure, not stale documentation;
+* every ``repro.*`` dotted path referenced inside a code fence or an inline
+  code span of any ``docs/*.md`` file or of ``README.md`` must resolve —
+  the module prefix imports and the remaining attribute chain exists — so
+  renames and removals surface as a test failure, not stale documentation;
 * every pass in the compiler's pass registry appears in
   ``docs/pipeline.md``, so new passes must be documented to land.
 """
@@ -17,9 +17,13 @@ from pathlib import Path
 import pytest
 
 DOCS_DIR = Path(__file__).resolve().parent.parent / "docs"
+README = DOCS_DIR.parent / "README.md"
 
 #: ```fenced code blocks``` (any language tag)
 FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+#: `inline code spans` (single backticks, one line) outside the fences
+SPAN_RE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 
 #: dotted repro.* references; underscores and digits allowed per segment
 SYMBOL_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
@@ -36,12 +40,13 @@ def doc_files():
     return files
 
 
-def fenced_symbols(path: Path):
-    """Every repro.* dotted path inside the file's code fences."""
+def code_symbols(path: Path):
+    """Every repro.* dotted path in the file's code fences and inline spans."""
     text = path.read_text()
+    spans = SPAN_RE.findall(FENCE_RE.sub("", text))
     symbols = set()
-    for fence in FENCE_RE.findall(text):
-        symbols.update(SYMBOL_RE.findall(fence))
+    for code in FENCE_RE.findall(text) + spans:
+        symbols.update(SYMBOL_RE.findall(code))
     return sorted(symbols)
 
 
@@ -75,9 +80,9 @@ def test_expected_docs_exist():
         assert expected in names, f"docs/{expected} is missing"
 
 
-@pytest.mark.parametrize("path", doc_files(), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", doc_files() + [README], ids=lambda p: p.name)
 def test_code_fence_symbols_resolve(path):
-    symbols = fenced_symbols(path)
+    symbols = code_symbols(path)
     unresolved = []
     for symbol in symbols:
         try:
@@ -106,7 +111,7 @@ def test_every_registered_pass_documented():
 
 
 def test_readme_links_the_docs_tree():
-    readme = (DOCS_DIR.parent / "README.md").read_text()
+    readme = README.read_text()
     for expected in EXPECTED_DOCS:
         assert f"docs/{expected}" in readme, (
             f"README.md does not link docs/{expected}"

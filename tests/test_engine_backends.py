@@ -26,7 +26,7 @@ from repro.engine import (
     register_backend,
     run,
 )
-from repro.mapping.compiler import compile_network
+from repro.ir import compile as ir_compile
 from repro.mapping.program import (
     InputBinding,
     OutputBinding,
@@ -208,7 +208,7 @@ class TestAnalyticStats:
                                                           dense_inputs):
         """The analytically reconstructed stats equal the interpreter's counts."""
         trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
-        program = compile_network(dense_snn, arch).program
+        program = ir_compile(dense_snn, arch).program
         reference = create_backend("reference", program).run(trains)
         vectorized = create_backend("vectorized", program).run(trains)
         assert vectorized.stats.summary() == reference.stats.summary()

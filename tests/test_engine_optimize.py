@@ -48,7 +48,7 @@ from repro.engine.optimize import (
     _as_selector,
     _drop_unread_packets,
 )
-from repro.mapping.compiler import compile_network
+from repro.ir import compile as ir_compile
 from repro.mapping.program import (
     InputBinding,
     OutputBinding,
@@ -61,7 +61,7 @@ from repro.snn import deterministic_encode
 
 @pytest.fixture
 def dense_program(arch, dense_snn):
-    return compile_network(dense_snn, arch).program
+    return ir_compile(dense_snn, arch).program
 
 
 def _two_tile_program(arch, bind_input=True, send_spikes=True):

@@ -28,14 +28,14 @@ from repro.engine import (
     run,
     run_backends,
 )
-from repro.mapping.compiler import compile_network
+from repro.ir import GraphSnnRunner, compile as ir_compile
 from repro.mapping.program import (
     InputBinding,
     OutputBinding,
     Program,
     TileConfig,
 )
-from repro.snn import AbstractSnnRunner, deterministic_encode, run_on_shenjing
+from repro.snn import deterministic_encode
 
 #: 4x4 cores with 6-bit partial sums: the PS range is [-32, 31]
 OVERFLOW_ARCH = ArchitectureConfig(core_inputs=4, core_neurons=4, chip_rows=2,
@@ -83,12 +83,12 @@ def _sum_overflow_program() -> Program:
 
 @pytest.fixture
 def dense_program(arch, dense_snn):
-    return compile_network(dense_snn, arch).program
+    return ir_compile(dense_snn, arch).program
 
 
 @pytest.fixture
 def conv_program(conv_arch, conv_snn):
-    return compile_network(conv_snn, conv_arch).program
+    return ir_compile(conv_snn, conv_arch).program
 
 
 class TestMlpParity:
@@ -126,7 +126,7 @@ class TestMlpParity:
     def test_vectorized_matches_abstract_snn(self, dense_program, dense_snn,
                                              dense_inputs):
         trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
-        abstract = AbstractSnnRunner(dense_snn).run_spike_trains(trains)
+        abstract = GraphSnnRunner(dense_snn).run_spike_trains(trains)
         vectorized = run(dense_program, trains, backend="vectorized")
         np.testing.assert_array_equal(vectorized.spike_counts, abstract.spike_counts)
         np.testing.assert_array_equal(vectorized.predictions, abstract.predictions)
@@ -145,7 +145,7 @@ class TestConvParity:
     def test_vectorized_matches_abstract_snn(self, conv_program, conv_snn,
                                              conv_inputs):
         trains = deterministic_encode(conv_inputs, conv_snn.timesteps)
-        abstract = AbstractSnnRunner(conv_snn).run_spike_trains(trains)
+        abstract = GraphSnnRunner(conv_snn).run_spike_trains(trains)
         vectorized = run(conv_program, trains)
         np.testing.assert_array_equal(vectorized.spike_counts, abstract.spike_counts)
 
@@ -198,23 +198,6 @@ class TestErrorPaths:
             assert_backend_parity(dense_program, trains)
 
 
-class TestRunnerIntegration:
-    def test_run_on_shenjing_matches_abstract(self, arch, dense_snn, dense_inputs):
-        trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
-        runner = AbstractSnnRunner(dense_snn)
-        abstract = runner.run_spike_trains(trains)
-        for backend in ("reference", "vectorized"):
-            hardware = run_on_shenjing(dense_snn, trains, arch=arch, backend=backend)
-            np.testing.assert_array_equal(hardware.spike_counts, abstract.spike_counts)
-
-    def test_runner_method_delegates(self, arch, dense_snn, dense_inputs):
-        trains = deterministic_encode(dense_inputs[:2], dense_snn.timesteps)
-        runner = AbstractSnnRunner(dense_snn)
-        result = runner.run_on_shenjing(trains, arch=arch)
-        abstract = runner.run_spike_trains(trains)
-        np.testing.assert_array_equal(result.spike_counts, abstract.spike_counts)
-
-
 @pytest.mark.slow
 class TestSlowParitySweeps:
     """Larger multi-frame sweeps, deselected from the fast tier-1 run."""
@@ -236,5 +219,5 @@ class TestSlowParitySweeps:
     def test_mlp_long_timestep_sweep(self, arch, dense_snn, rng):
         inputs = rng.random((16, dense_snn.input_size))
         trains = deterministic_encode(inputs, 40)
-        program = compile_network(dense_snn, arch).program
+        program = ir_compile(dense_snn, arch).program
         assert_backend_parity(program, trains)

@@ -31,18 +31,18 @@ from repro.engine.sharded import (
     WORKERS_ENV_VAR,
     _openblas_libraries,
 )
-from repro.mapping.compiler import compile_network
+from repro.ir import compile as ir_compile
 from repro.snn import deterministic_encode
 
 
 @pytest.fixture
 def dense_program(arch, dense_snn):
-    return compile_network(dense_snn, arch).program
+    return ir_compile(dense_snn, arch).program
 
 
 @pytest.fixture
 def conv_program(conv_arch, conv_snn):
-    return compile_network(conv_snn, conv_arch).program
+    return ir_compile(conv_snn, conv_arch).program
 
 
 def _overflow_program():

@@ -1,7 +1,7 @@
 """Estimator-vs-mapper and timing-vs-simulator parity: no silent drift.
 
 ``estimate_network_cores`` derives per-layer logical core counts by
-geometry alone; these tests pin it to the actual ``build_logical_network``
+geometry alone; these tests pin it to the actual ``repro.ir.logical_map``
 output for *every* benchmark builder (Table III, small variants and the DAG
 workloads), and regression-test the historical drift: an add-join
 contribution whose natural tiling is larger than the join's forced shared
@@ -23,14 +23,13 @@ import pytest
 from repro.apps.networks import ALL_BUILDERS
 from repro.core.config import DEFAULT_ARCH, small_test_arch
 from repro.engine import run as engine_run
-from repro.ir import compile as ir_compile
-from repro.mapping.compiler import build_logical_network
+from repro.ir import compile as ir_compile, logical_map
+from repro.mapping.conv import estimate_conv_cores, map_conv
 from repro.mapping.estimator import estimate_mapping, estimate_network_cores
 from repro.mapping.join import estimate_join_cores, map_add_join
-from repro.mapping.residual import estimate_residual_cores, map_residual_block
 from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode
-from repro.snn.spec import ConvSpec, ResidualBlockSpec
+from repro.snn.spec import ConvSpec
 from repro.timing import TIMING_TOLERANCE, relative_error
 
 SMALL_BUILDERS = sorted(name for name in ALL_BUILDERS
@@ -60,8 +59,7 @@ def converted_graphs():
 class TestEveryBuilder:
     def test_per_layer_counts_match_actual_mapping(self, converted_graphs):
         for name, graph in converted_graphs.items():
-            logical = build_logical_network(graph, DEFAULT_ARCH,
-                                            materialize=False)
+            logical = logical_map(graph, DEFAULT_ARCH, materialize=False)
             estimated = estimate_network_cores(graph, DEFAULT_ARCH)
             actual = logical.core_count_by_layer()
             assert estimated == actual, (
@@ -153,25 +151,27 @@ class TestForcedTilingDrift:
             name="sc",
             weights=(np.eye(2, dtype=np.int64) * 3).reshape(1, 1, 2, 2),
             threshold=1, input_shape=(8, 8, 2))
-        return ResidualBlockSpec(name="block", body=body, shortcut=shortcut)
+        return body, shortcut
 
     def test_residual_estimate_matches_forced_tiling(self, rng):
         arch = small_test_arch(core_inputs=64, core_neurons=64,
                                chip_rows=8, chip_cols=8)
-        block = self._drift_block(rng)
-        layers = map_residual_block(block, arch, source="prev")
-        actual = sum(layer.n_cores for layer in layers)
-        assert estimate_residual_cores(block, arch) == actual
+        (inner, last), shortcut = self._drift_block(rng)
+        actual = (map_conv(inner, arch, source="prev").n_cores
+                  + map_add_join(last.name, [(last, inner.name),
+                                             (shortcut, "prev")], arch).n_cores)
+        estimated = (estimate_conv_cores(inner, arch)
+                     + estimate_join_cores([last, shortcut], arch))
+        assert estimated == actual
         # the shortcut alone would estimate fewer cores than the join uses
-        from repro.mapping.conv import estimate_conv_cores
-        standalone = sum(estimate_conv_cores(s, arch) for s in block.body)
-        standalone += estimate_conv_cores(block.shortcut, arch)
+        standalone = sum(estimate_conv_cores(s, arch)
+                         for s in (inner, last, shortcut))
         assert standalone < actual
 
     def test_join_estimate_matches_join_mapper(self, rng):
         arch = small_test_arch(core_inputs=64, core_neurons=64,
                                chip_rows=8, chip_cols=8)
-        block = self._drift_block(rng)
-        specs = [block.body[-1], block.shortcut]
+        body, shortcut = self._drift_block(rng)
+        specs = [body[-1], shortcut]
         layer = map_add_join("join", [(specs[0], "x"), (specs[1], "y")], arch)
         assert estimate_join_cores(specs, arch) == layer.n_cores

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ir import GRAPH_INPUT, GraphError, GraphSnnRunner, LayerGraph, \
-    as_layer_graph, graph_from_snn
-from repro.snn.encoding import deterministic_encode
-from repro.snn.runner import AbstractSnnRunner
+from repro.ir import GRAPH_INPUT, GraphError, LayerGraph, compile as ir_compile
+from repro.nn.layers import Conv2D, ReLU
+from repro.nn.model import ResidualBlock, Sequential
+from repro.snn.conversion import convert_ann_to_graph
 from repro.snn.spec import ConvSpec, DenseSpec
 
 
@@ -122,33 +122,50 @@ class TestConcatParts:
 
 
 class TestGraphFromSnn:
-    def test_dense_network_stays_linear(self, dense_snn):
-        graph = graph_from_snn(dense_snn)
+    """Graphs built from SNN layer specs: chains, and residual blocks that
+    the converter expands into add-joins."""
+
+    def test_dense_network_stays_linear(self, rng):
+        specs = [_dense(rng, "a", 12, 8), _dense(rng, "b", 8, 4)]
+        graph = LayerGraph.chain("toy", (12,), specs, timesteps=5)
         kinds = [node.kind for node in graph.topological()]
         assert kinds == ["input", "fire", "fire"]
-        assert graph.output_size == dense_snn.output_size
-        assert graph.timesteps == dense_snn.timesteps
+        assert [node.inputs for node in graph.fire_nodes()] == \
+            [(GRAPH_INPUT,), ("a",)]
+        assert graph.output == "b"
+        assert graph.output_size == 4
+        assert graph.timesteps == 5
 
-    def test_residual_block_expands_to_add_join(self, conv_snn):
-        graph = graph_from_snn(conv_snn)
-        joins = [node for node in graph.fire_nodes() if node.is_join]
-        assert len(joins) == 1
-        join = joins[0]
-        # last body layer reads the previous body layer; the shortcut reads
-        # the block's input layer
-        assert join.inputs == ("res1", "pool1")
-        assert {spec.name for spec in join.specs} == {"res2", "shortcut"}
+    def test_residual_block_expands_to_add_join(self, rng):
+        """A projection-shortcut block: the body's fire nodes, then one
+        add-join of the body's last conv and the projection."""
+        layers_rng = np.random.default_rng(0)
+        body = [Conv2D(2, 3, 3, padding="same", bias=False, rng=layers_rng,
+                       name="rc1"),
+                ReLU(name="rr"),
+                Conv2D(3, 3, 3, padding="same", bias=False, rng=layers_rng,
+                       name="rc2")]
+        projection = Conv2D(2, 3, 1, bias=False, rng=layers_rng, name="proj")
+        model = Sequential([
+            Conv2D(1, 2, 3, padding="same", bias=False, rng=layers_rng,
+                   name="conv1"),
+            ReLU(name="r1"),
+            ResidualBlock(body, projection=projection, name="block"),
+        ], input_shape=(6, 6, 1), name="proj-resnet")
+        graph = convert_ann_to_graph(model, rng.random((8, 6, 6, 1)))
+        assert [node.name for node in graph.fire_nodes()] == \
+            ["conv1", "rc1", "block"]
+        join = graph.node("block")
+        # the body's last conv reads the body; the projection reads the
+        # block's input layer
+        assert join.inputs == ("rc1", "conv1")
+        assert [spec.name for spec in join.specs] == ["rc2", "proj"]
+        assert join.specs[1].kernel == 1
+        assert len({spec.scale for spec in join.specs}) == 1
+        assert graph.output == "block"
 
-    def test_as_layer_graph_passthrough(self, dense_snn):
-        graph = graph_from_snn(dense_snn)
-        assert as_layer_graph(graph) is graph
-        with pytest.raises(GraphError):
-            as_layer_graph(42)
-
-    def test_graph_runner_matches_abstract_runner(self, conv_snn, conv_inputs):
-        """The DAG runner reproduces the flat runner on residual networks."""
-        trains = deterministic_encode(conv_inputs, conv_snn.timesteps)
-        flat = AbstractSnnRunner(conv_snn).run_spike_trains(trains)
-        graph = GraphSnnRunner(graph_from_snn(conv_snn)).run_spike_trains(trains)
-        np.testing.assert_array_equal(flat.spike_counts, graph.spike_counts)
-        np.testing.assert_array_equal(flat.predictions, graph.predictions)
+    def test_graph_build_passes_graphs_through(self, arch, dense_snn):
+        compiled = ir_compile(dense_snn, arch, pipeline=["graph-build"])
+        assert compiled.graph is dense_snn
+        with pytest.raises(GraphError, match="cannot compile a int"):
+            ir_compile(42, arch, pipeline=["graph-build"])

@@ -1,10 +1,9 @@
 """Tests for the pass-based compilation pipeline.
 
 Covers the PassManager mechanics (ordering, artifact requirements, traces,
-surgery), per-pass invariant checks, equivalence with the historical
-compiler entry points, and end-to-end DAG compilation — concat joins whose
-consumer cores read *several* producer layers, and dense add-joins — with
-bit-exact three-way backend parity.
+surgery), per-pass invariant checks, and end-to-end DAG compilation —
+concat joins whose consumer cores read *several* producer layers, and dense
+add-joins — with bit-exact three-way backend parity.
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.ir import (
     compile as ir_compile,
     default_pipeline,
 )
-from repro.mapping.compiler import compile_network
 from repro.snn.encoding import deterministic_encode
 from repro.snn.spec import DenseSpec
 
@@ -110,28 +108,14 @@ class TestPassManager:
 
 
 class TestPipelineEquivalence:
-    def test_matches_legacy_compile_network(self, arch, dense_snn, dense_inputs):
-        """ir.compile and compile_network produce identical programs."""
-        trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
-        legacy = compile_network(dense_snn, arch)
-        piped = ir_compile(dense_snn, arch)
-        assert piped.program.instruction_count == legacy.program.instruction_count
-        assert [phase.name for phase in piped.program.phases] == \
-            [phase.name for phase in legacy.program.phases]
-        ours = engine_run(piped.program, trains, backend="vectorized")
-        theirs = engine_run(legacy.program, trains, backend="vectorized")
-        np.testing.assert_array_equal(ours.spike_counts, theirs.spike_counts)
-        assert ours.stats.summary() == theirs.stats.summary()
-
     def test_residual_network_through_pipeline(self, conv_arch, conv_snn,
                                                conv_inputs):
-        """Residual SnnNetworks (expanded to add-joins) stay lossless."""
+        """Residual blocks (add-joins of body and shortcut) stay lossless."""
         trains = deterministic_encode(conv_inputs, conv_snn.timesteps)
         compiled = ir_compile(conv_snn, conv_arch, validate=True)
         joins = [node for node in compiled.graph.fire_nodes() if node.is_join]
         assert len(joins) == 1
-        from repro.snn.runner import AbstractSnnRunner
-        abstract = AbstractSnnRunner(conv_snn).run_spike_trains(trains)
+        abstract = GraphSnnRunner(conv_snn).run_spike_trains(trains)
         hardware = engine_run(compiled.program, trains, backend="vectorized")
         np.testing.assert_array_equal(abstract.spike_counts,
                                       hardware.spike_counts)

@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 from repro.core.simulator import ShenjingSimulator
-from repro.mapping.compiler import build_logical_network, compile_network
+from repro.ir import GraphSnnRunner, LayerGraph, compile as ir_compile
 from repro.mapping.estimator import estimate_mapping
 from repro.snn.encoding import deterministic_encode, poisson_encode
-from repro.snn.runner import AbstractSnnRunner
-from repro.snn.spec import DenseSpec, SnnNetwork
+from repro.snn.spec import DenseSpec
 
 
 def _run_both(snn, arch, inputs, wave_packing=True, rows=None):
     trains = deterministic_encode(inputs, snn.timesteps)
-    reference = AbstractSnnRunner(snn).run_spike_trains(trains, return_output_trains=True)
-    compiled = compile_network(snn, arch, rows=rows, wave_packing=wave_packing)
+    reference = GraphSnnRunner(snn).run_spike_trains(trains, return_output_trains=True)
+    compiled = ir_compile(snn, arch, rows=rows, wave_packing=wave_packing)
     simulator = ShenjingSimulator(compiled.program)
     hardware = simulator.run(trains)
     return reference, hardware, compiled, simulator
@@ -35,9 +34,9 @@ class TestLosslessMapping:
 
     def test_dense_network_matches_per_timestep(self, arch, dense_snn, dense_inputs):
         trains = deterministic_encode(dense_inputs[:2], dense_snn.timesteps)
-        reference = AbstractSnnRunner(dense_snn).run_spike_trains(
+        reference = GraphSnnRunner(dense_snn).run_spike_trains(
             trains, return_output_trains=True)
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         simulator = ShenjingSimulator(compiled.program)
         for frame in range(2):
             result = simulator.run_frame(trains[frame])
@@ -50,8 +49,8 @@ class TestLosslessMapping:
 
     def test_poisson_encoded_inputs_also_match(self, arch, dense_snn, dense_inputs):
         trains = poisson_encode(dense_inputs, dense_snn.timesteps, seed=7)
-        reference = AbstractSnnRunner(dense_snn).run_spike_trains(trains)
-        compiled = compile_network(dense_snn, arch)
+        reference = GraphSnnRunner(dense_snn).run_spike_trains(trains)
+        compiled = ir_compile(dense_snn, arch)
         hardware = ShenjingSimulator(compiled.program).run(trains)
         np.testing.assert_array_equal(reference.spike_counts, hardware.spike_counts)
 
@@ -61,16 +60,16 @@ class TestLosslessMapping:
         np.testing.assert_array_equal(packed.spike_counts, serial.spike_counts)
 
     def test_wave_packing_shortens_the_schedule(self, conv_arch, conv_snn):
-        packed = compile_network(conv_snn, conv_arch, wave_packing=True)
-        serial = compile_network(conv_snn, conv_arch, wave_packing=False)
+        packed = ir_compile(conv_snn, conv_arch, wave_packing=True)
+        serial = ir_compile(conv_snn, conv_arch, wave_packing=False)
         assert (packed.program.cycles_per_timestep()
                 <= serial.program.cycles_per_timestep())
 
     def test_single_core_network(self, arch, rng):
-        snn = SnnNetwork(
-            name="tiny", input_shape=(8,),
-            layers=[DenseSpec(name="fc", weights=rng.integers(-3, 4, size=(8, 4)),
-                              threshold=5)],
+        snn = LayerGraph.chain(
+            "tiny", (8,),
+            [DenseSpec(name="fc", weights=rng.integers(-3, 4, size=(8, 4)),
+                       threshold=5)],
             timesteps=6,
         )
         inputs = rng.random((3, 8))
@@ -81,12 +80,12 @@ class TestLosslessMapping:
 
 class TestCompiledArtifacts:
     def test_tile_configs_cover_all_cores(self, arch, dense_snn):
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         assert len(compiled.program.tile_configs) == compiled.logical.n_cores
         assert compiled.program.used_tiles == compiled.core_count
 
     def test_output_bindings_cover_output_vector(self, arch, dense_snn):
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         indices = sorted(
             index
             for binding in compiled.program.output_bindings
@@ -95,7 +94,7 @@ class TestCompiledArtifacts:
         assert indices == list(range(dense_snn.output_size))
 
     def test_input_bindings_only_on_first_layer_tiles(self, arch, dense_snn):
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         first_layer = compiled.logical.layers[0]
         first_tiles = {compiled.placement.position(core.index)
                        for core in first_layer.cores}
@@ -103,7 +102,7 @@ class TestCompiledArtifacts:
             assert binding.tile in first_tiles
 
     def test_phase_structure_per_layer(self, arch, dense_snn):
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         names = [phase.name for phase in compiled.program.phases]
         assert "fc1/accumulate" in names
         assert "fc1/ps-reduce" in names
@@ -112,24 +111,25 @@ class TestCompiledArtifacts:
         assert names.index("fc1/fire") < names.index("fc2/deliver")
 
     def test_describe_mentions_core_counts(self, arch, dense_snn):
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         text = compiled.describe()
         assert "fc1" in text and "cores" in text
 
     def test_structure_only_network_cannot_be_compiled_directly(self, arch, dense_snn):
-        from repro.mapping.compiler import _build_program
+        from repro.ir import build_routes, emit_program, logical_map
         from repro.mapping.logical import MappingError
         from repro.mapping.placement import place_network
 
-        logical = build_logical_network(dense_snn, arch, materialize=False)
+        logical = logical_map(dense_snn, arch, materialize=False)
         placement = place_network(logical, arch)
+        routes = build_routes(logical, placement)
         with pytest.raises(MappingError):
-            _build_program(logical, placement, arch, wave_packing=True)
+            emit_program(logical, placement, routes, arch)
 
 
 class TestEstimatorConsistency:
     def test_estimator_core_count_matches_compiler(self, arch, dense_snn):
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         estimate = estimate_mapping(dense_snn, arch)
         assert estimate.total_cores == compiled.core_count
         assert estimate.chips == compiled.chips_used
@@ -137,7 +137,7 @@ class TestEstimatorConsistency:
     def test_estimator_op_counts_match_simulator(self, arch, dense_snn, dense_inputs):
         """The structural estimate reproduces the simulator's per-frame op counts."""
         trains = deterministic_encode(dense_inputs[:1], dense_snn.timesteps)
-        compiled = compile_network(dense_snn, arch)
+        compiled = ir_compile(dense_snn, arch)
         simulator = ShenjingSimulator(compiled.program)
         simulator.run(trains)
         measured = simulator.stats.lanes_by_key()
@@ -153,7 +153,7 @@ class TestEstimatorConsistency:
 
     def test_estimator_conv_consistency(self, conv_arch, conv_snn, conv_inputs):
         trains = deterministic_encode(conv_inputs[:1], conv_snn.timesteps)
-        compiled = compile_network(conv_snn, conv_arch)
+        compiled = ir_compile(conv_snn, conv_arch)
         simulator = ShenjingSimulator(compiled.program)
         simulator.run(trains)
         measured = simulator.stats.lanes_by_key()
@@ -166,4 +166,4 @@ class TestEstimatorConsistency:
         estimate = estimate_mapping(dense_snn, arch)
         assert estimate.cycles_per_timestep > 0
         assert estimate.cycles_per_frame == estimate.cycles_per_timestep * dense_snn.timesteps
-        assert dense_snn.layers[0].name in estimate.describe()
+        assert dense_snn.fire_nodes()[0].name in estimate.describe()

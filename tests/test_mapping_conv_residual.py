@@ -5,10 +5,10 @@ import pytest
 
 from repro.core.config import DEFAULT_ARCH
 from repro.mapping.conv import conv_block_size, conv_geometry, estimate_conv_cores, map_conv
+from repro.mapping.join import estimate_join_cores, map_add_join
 from repro.mapping.logical import MappingError
 from repro.mapping.pool import estimate_pool_cores, is_pool_spec, map_pool
-from repro.mapping.residual import estimate_residual_cores, map_residual_block
-from repro.snn.spec import ConvSpec, ResidualBlockSpec, pool_spec
+from repro.snn.spec import ConvSpec, pool_spec
 
 
 def _conv_spec(rng, name="conv", h=8, w=8, cin=2, cout=3, k=3, pad=1, stride=1,
@@ -120,6 +120,21 @@ class TestPooling:
             map_pool(_conv_spec(rng), conv_arch)
 
 
+def _map_residual(body, shortcut, arch, source, start_index=0):
+    """Map a residual block the way ``logical-map`` does: the body's inner
+    convs with :func:`map_conv`, then the add-join of the last body conv
+    (reading the body) and the shortcut (reading the block input)."""
+    layers = []
+    previous, index = source, start_index
+    for spec in body[:-1]:
+        layers.append(map_conv(spec, arch, source=previous, start_index=index))
+        previous, index = spec.name, index + layers[-1].n_cores
+    layers.append(map_add_join(body[-1].name, [(body[-1], previous),
+                                               (shortcut, source)],
+                               arch, start_index=index))
+    return layers
+
+
 class TestResidual:
     def _block(self, rng, channels=4, h=4, w=4):
         body = [
@@ -131,32 +146,36 @@ class TestResidual:
         shortcut = ConvSpec(name="sc",
                             weights=(np.eye(channels, dtype=np.int64) * 3).reshape(1, 1, channels, channels),
                             threshold=1, input_shape=(h, w, channels))
-        return ResidualBlockSpec(name="block", body=body, shortcut=shortcut)
+        return body, shortcut
 
     def test_residual_produces_one_layer_per_body_conv(self, conv_arch, rng):
-        block = self._block(rng)
-        layers = map_residual_block(block, conv_arch, source="prev")
-        assert len(layers) == len(block.body)
+        body, shortcut = self._block(rng)
+        layers = _map_residual(body, shortcut, conv_arch, source="prev")
+        assert len(layers) == len(body)
 
     def test_final_layer_groups_contain_shortcut_cores(self, conv_arch, rng):
-        block = self._block(rng)
-        layers = map_residual_block(block, conv_arch, source="prev")
+        body, shortcut = self._block(rng)
+        layers = _map_residual(body, shortcut, conv_arch, source="prev")
         final = layers[-1]
         final.validate(conv_arch)
+        assert final.threshold == body[-1].threshold
         sources = {core.source for core in final.cores}
         assert "prev" in sources          # shortcut cores read the block input
         assert layers[0].name in sources  # body cores read the previous body layer
         # each group has body cores (cin of them) plus one shortcut core
         for group in final.groups:
-            assert len(group.core_indices) == block.body[-1].in_channels + 1
+            assert len(group.core_indices) == body[-1].in_channels + 1
 
     def test_core_estimate_matches_mapping(self, conv_arch, rng):
-        block = self._block(rng)
-        layers = map_residual_block(block, conv_arch, source="prev")
-        assert estimate_residual_cores(block, conv_arch) == sum(l.n_cores for l in layers)
+        body, shortcut = self._block(rng)
+        layers = _map_residual(body, shortcut, conv_arch, source="prev")
+        estimate = (sum(estimate_conv_cores(spec, conv_arch) for spec in body[:-1])
+                    + estimate_join_cores([body[-1], shortcut], conv_arch))
+        assert estimate == sum(l.n_cores for l in layers)
 
     def test_start_index_is_contiguous(self, conv_arch, rng):
-        block = self._block(rng)
-        layers = map_residual_block(block, conv_arch, source="prev", start_index=100)
+        body, shortcut = self._block(rng)
+        layers = _map_residual(body, shortcut, conv_arch, source="prev",
+                               start_index=100)
         indices = [core.index for layer in layers for core in layer.cores]
         assert sorted(indices) == list(range(100, 100 + len(indices)))

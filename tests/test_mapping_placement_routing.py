@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import small_test_arch
 from repro.core.isa import Direction
 from repro.core.tile import TileCoordinate
-from repro.mapping.compiler import build_logical_network
+from repro.ir import logical_map
 from repro.mapping.logical import MappingError
 from repro.mapping.placement import fabric_summary, place_network
 from repro.mapping.routing import (
@@ -132,18 +132,18 @@ class TestWavePacking:
 
 class TestPlacement:
     def test_no_two_cores_share_a_tile(self, arch, dense_snn):
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch)
         placement.validate()
         assert placement.n_placed == logical.n_cores
 
     def test_dense_packing_minimises_columns(self, arch, dense_snn):
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch, rows=4)
         assert placement.cols == int(np.ceil(logical.n_cores / 4))
 
     def test_column_aligned_groups_keep_head_on_top(self, arch, dense_snn):
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch, rows=8, column_aligned_groups=True)
         for layer in logical.layers:
             for group in layer.groups:
@@ -154,7 +154,7 @@ class TestPlacement:
                     assert position.row > head.row
 
     def test_layer_fresh_columns_keep_layers_separate(self, arch, dense_snn):
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch, rows=8, layer_fresh_columns=True)
         columns = placement.layer_columns
         spans = [columns[layer.name] for layer in logical.layers]
@@ -163,19 +163,19 @@ class TestPlacement:
 
     def test_chips_used_reflects_fabric_span(self, dense_snn):
         arch = small_test_arch(core_inputs=16, core_neurons=16, chip_rows=2, chip_cols=2)
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch, rows=2)
         assert placement.chips_used() >= 2
 
     def test_fabric_summary_keys(self, arch, dense_snn):
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch)
         summary = fabric_summary(placement)
         assert {"rows", "cols", "cores", "chips", "occupancy"} <= set(summary)
         assert 0 < summary["occupancy"] <= 1
 
     def test_missing_core_position_raises(self, arch, dense_snn):
-        logical = build_logical_network(dense_snn, arch)
+        logical = logical_map(dense_snn, arch)
         placement = place_network(logical, arch)
         with pytest.raises(MappingError):
             placement.position(10_000)

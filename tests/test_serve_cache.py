@@ -26,10 +26,10 @@ import pytest
 
 from repro.core.config import DEFAULT_ARCH
 from repro.engine import ExecutionEngine
-from repro.ir import compile as ir_compile
+from repro.ir import LayerGraph, compile as ir_compile
 from repro.resilience import FaultPlan, RunPolicy
 from repro.serve import ArtifactCache, ServePolicy, Server, artifact_key
-from repro.snn import DenseSpec, SnnNetwork
+from repro.snn import DenseSpec
 from repro.snn.encoding import deterministic_encode
 
 TIMESTEPS = 4
@@ -38,10 +38,9 @@ FRAMES = 4
 
 def make_network(seed, name="cache-net", in_size=10, out_size=4):
     rng = np.random.default_rng(seed)
-    return SnnNetwork(
-        name=name,
-        input_shape=(in_size,),
-        layers=[
+    return LayerGraph.chain(
+        name, (in_size,),
+        [
             DenseSpec(name="fc1",
                       weights=rng.integers(-7, 8, size=(in_size, 12)),
                       threshold=15),

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.config import DEFAULT_ARCH
 from repro.engine.auto import DEFAULT_SHARDED_MIN_FRAMES
-from repro.ir import compile as ir_compile
+from repro.ir import LayerGraph, compile as ir_compile
 from repro.resilience import RunPolicy
 from repro.serve import (
     DeadlineExceededError,
@@ -29,7 +29,7 @@ from repro.serve import (
     ServerClosedError,
     Session,
 )
-from repro.snn import DenseSpec, SnnNetwork
+from repro.snn import DenseSpec
 from repro.snn.encoding import deterministic_encode
 
 FRAMES = 8
@@ -41,13 +41,11 @@ SLOW_WINDOW = 30.0
 
 def tiny_network(in_size=12, out_size=4, seed=1, name="serve-tiny"):
     rng = np.random.default_rng(seed)
-    return SnnNetwork(
-        name=name,
-        input_shape=(in_size,),
-        layers=[DenseSpec(name="fc",
-                          weights=rng.integers(-7, 8,
-                                               size=(in_size, out_size)),
-                          threshold=10)],
+    return LayerGraph.chain(
+        name, (in_size,),
+        [DenseSpec(name="fc",
+                   weights=rng.integers(-7, 8, size=(in_size, out_size)),
+                   threshold=10)],
         timesteps=TIMESTEPS,
     )
 
@@ -56,10 +54,9 @@ def tiny_network(in_size=12, out_size=4, seed=1, name="serve-tiny"):
 def case():
     """``(compiled, trains)`` — a tiny MLP, cheap enough for every test."""
     rng = np.random.default_rng(3)
-    network = SnnNetwork(
-        name="serve-mlp",
-        input_shape=(12,),
-        layers=[
+    network = LayerGraph.chain(
+        "serve-mlp", (12,),
+        [
             DenseSpec(name="fc1",
                       weights=rng.integers(-7, 8, size=(12, 16)),
                       threshold=20),

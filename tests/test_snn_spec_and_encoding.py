@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ir import GRAPH_INPUT, GraphError, LayerGraph
 from repro.snn.encoding import (
     EncodingError,
     deterministic_encode,
@@ -13,14 +14,7 @@ from repro.snn.encoding import (
     spike_rates,
 )
 from repro.snn.neurons import BatchedIfState, IfNeuronArray, NeuronError
-from repro.snn.spec import (
-    ConvSpec,
-    DenseSpec,
-    ResidualBlockSpec,
-    SnnNetwork,
-    SpecError,
-    pool_spec,
-)
+from repro.snn.spec import ConvSpec, DenseSpec, SpecError, pool_spec
 
 
 class TestDenseSpec:
@@ -88,47 +82,56 @@ class TestPoolSpec:
 
 
 class TestResidualSpec:
+    """A residual block as specs in a graph: body convs, then an add-join
+    of the last body conv and the shortcut."""
+
     def _block(self):
-        body = [ConvSpec(name="b1", weights=np.ones((3, 3, 2, 2)), threshold=4,
-                         input_shape=(6, 6, 2), pad=1),
-                ConvSpec(name="b2", weights=np.ones((3, 3, 2, 2)), threshold=4,
-                         input_shape=(6, 6, 2), pad=1)]
+        graph = LayerGraph("res", (6, 6, 2))
+        graph.add_layer(ConvSpec(name="b1", weights=np.ones((3, 3, 2, 2)),
+                                 threshold=4, input_shape=(6, 6, 2), pad=1))
+        body = ConvSpec(name="b2", weights=np.ones((3, 3, 2, 2)), threshold=4,
+                        input_shape=(6, 6, 2), pad=1)
         shortcut = ConvSpec(name="s", weights=np.ones((1, 1, 2, 2)), threshold=1,
                             input_shape=(6, 6, 2))
-        return ResidualBlockSpec(name="block", body=body, shortcut=shortcut)
+        graph.add_join("block", [(body, "b1"), (shortcut, GRAPH_INPUT)])
+        return graph
 
     def test_shapes(self):
-        block = self._block()
-        assert block.input_shape == (6, 6, 2)
+        block = self._block().node("block")
         assert block.output_shape == (6, 6, 2)
+        assert [spec.input_shape for spec in block.specs] == [(6, 6, 2)] * 2
         assert block.threshold == 4
 
     def test_rejects_mismatched_shortcut(self):
-        body = [ConvSpec(name="b", weights=np.ones((3, 3, 2, 4)), threshold=2,
-                         input_shape=(6, 6, 2), pad=1)]
+        graph = LayerGraph("res", (6, 6, 2))
+        body = ConvSpec(name="b", weights=np.ones((3, 3, 2, 4)), threshold=2,
+                        input_shape=(6, 6, 2), pad=1)
         shortcut = ConvSpec(name="s", weights=np.ones((1, 1, 2, 2)), threshold=1,
                             input_shape=(6, 6, 2))
-        with pytest.raises(SpecError):
-            ResidualBlockSpec(name="block", body=body, shortcut=shortcut)
+        with pytest.raises(GraphError, match="differ"):
+            graph.add_join("block", [(body, GRAPH_INPUT), (shortcut, GRAPH_INPUT)])
 
 
 class TestSnnNetwork:
+    """A sequential SNN is a chain graph (:meth:`LayerGraph.chain`)."""
+
     def test_validates_layer_chain(self):
         layers = [DenseSpec(name="a", weights=np.ones((4, 3)), threshold=1),
                   DenseSpec(name="b", weights=np.ones((3, 2)), threshold=1)]
-        net = SnnNetwork(name="n", input_shape=(4,), layers=layers)
+        net = LayerGraph.chain("n", (4,), layers)
         assert net.output_size == 2
+        assert net.timesteps == 20
 
     def test_rejects_mismatched_chain(self):
         layers = [DenseSpec(name="a", weights=np.ones((4, 3)), threshold=1),
                   DenseSpec(name="b", weights=np.ones((5, 2)), threshold=1)]
-        with pytest.raises(SpecError):
-            SnnNetwork(name="n", input_shape=(4,), layers=layers)
+        with pytest.raises(GraphError, match="expects 5 inputs"):
+            LayerGraph.chain("n", (4,), layers)
 
     def test_describe_lists_layers(self):
-        net = SnnNetwork(name="n", input_shape=(4,),
-                         layers=[DenseSpec(name="a", weights=np.ones((4, 2)), threshold=1)])
-        assert "dense 4 -> 2" in net.describe()
+        net = LayerGraph.chain("n", (4,), [
+            DenseSpec(name="a", weights=np.ones((4, 2)), threshold=1)])
+        assert "DenseSpec [__input__] -> (2,)" in net.describe()
 
 
 class TestEncoders:

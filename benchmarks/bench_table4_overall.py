@@ -64,7 +64,7 @@ CONFIGS = {
 }
 
 #: DAG workloads beyond the paper's Table IV: the same flow, converted
-#: through the layer-graph path and mapped with the repro.opt NoC passes
+#: through the layer-graph path and mapped with the repro.opt NoC optimizations
 DAG_CONFIGS = {
     "mnist-inception": ExperimentConfig(
         name="mnist-inception", model_builder=build_mnist_inception,
@@ -116,7 +116,8 @@ def test_regenerate_table4_row(benchmark, name):
 
 @pytest.mark.parametrize("name", list(DAG_CONFIGS))
 def test_table4_dag_row(benchmark, name):
-    """The Table IV flow on DAG workloads (branching models + NoC passes)."""
+    """The Table IV flow on DAG workloads (branching models, NoC
+    optimizations)."""
     config = DAG_CONFIGS[name]
     result = benchmark.pedantic(run_experiment, args=(config,), rounds=1,
                                 iterations=1)

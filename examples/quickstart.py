@@ -86,13 +86,13 @@ def main(backend: str = "auto", check_parity: bool = True,
     abstract = GraphSnnRunner(network).run_spike_trains(spike_trains)
 
     # Compile onto Shenjing and execute through the engine.  With
-    # --optimize-noc the repro.opt passes (congestion-aware placement,
+    # --optimize-noc the repro.opt optimizations (congestion-aware placement,
     # multicast delivery, reduction trees) rewrite the NoC schedule —
     # bit-exactly, as the lossless-mapping check below still proves.
     compiled = compile(network, arch, optimize_noc=optimize_noc)
     print(compiled.describe())
     if show_trace:
-        # the per-pass compile trace every compile records (repro.obs
+        # the per-step compile trace every compile records (repro.obs
         # exports the same records as Chrome trace_event JSON)
         print("\ncompile trace:")
         print(compiled.describe_trace())
@@ -155,11 +155,11 @@ if __name__ == "__main__":
     parser.add_argument("--no-parity", action="store_true",
                         help="skip the cross-backend parity check")
     parser.add_argument("--optimize-noc", action="store_true",
-                        help="enable the repro.opt NoC optimization passes "
+                        help="enable the repro.opt NoC optimizations "
                              "(congestion-aware placement, multicast "
                              "delivery, reduction trees)")
     parser.add_argument("--trace", action="store_true",
-                        help="print the per-pass compile trace")
+                        help="print the per-step compile trace")
     parser.add_argument("--inject-fault", metavar="KIND", default=None,
                         choices=("crash", "hang", "exception", "slow",
                                  "corrupt"),

@@ -14,8 +14,8 @@ The package is organised as:
 * :mod:`repro.baselines` — block-level-spike baseline and published chip data;
 * :mod:`repro.apps` — the paper's four applications and the experiment pipeline;
 * :mod:`repro.ir` — the layer-graph IR (the one model representation),
-  the abstract SNN runner and the pass-based compilation pipeline;
-* :mod:`repro.opt` — NoC-aware placement & routing optimization passes;
+  the abstract SNN runner and the compile function;
+* :mod:`repro.opt` — NoC-aware placement & routing optimizations;
 * :mod:`repro.timing` — schedule-aware analytic cycle model;
 * :mod:`repro.engine` — batched/sharded execution backends;
 * :mod:`repro.bench` — the bench gate table of machine-independent checks

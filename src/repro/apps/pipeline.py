@@ -34,7 +34,7 @@ import numpy as np
 from ..core.config import ArchitectureConfig, DEFAULT_ARCH
 from ..datasets import Dataset, synthetic_cifar10, synthetic_mnist
 from ..engine import create_backend, get_backend
-from ..ir.pipeline import compile as ir_compile
+from ..ir.pipeline import CompiledNetwork, compile as ir_compile
 from ..ir.runner import GraphSnnRunner
 from ..nn.model import Sequential
 from ..nn.training import Adam, SGD, Trainer
@@ -42,7 +42,6 @@ from ..power.interchip import InterchipTraffic
 from ..power.power_model import PowerModel, PowerReport
 from ..snn.conversion import ConversionConfig, convert_ann_to_graph
 from ..snn.encoding import encode, flatten_images
-from ..mapping.compiler import CompiledNetwork
 from ..mapping.estimator import MappingEstimate, estimate_mapping
 from ..obs.profile import absorb_resilience, time_block
 
@@ -77,7 +76,7 @@ class ExperimentConfig:
     backend: str = "auto"
     #: fabric height override (None = one chip's rows)
     fabric_rows: Optional[int] = None
-    #: run the repro.opt NoC optimization passes (congestion-aware
+    #: run the repro.opt NoC optimizations (congestion-aware
     #: placement, multicast delivery, reduction trees) during mapping;
     #: bit-exact, so accuracy rows are unchanged — only the NoC schedule is
     optimize_noc: bool = False
@@ -91,7 +90,7 @@ class ExperimentConfig:
     #: the recovery record lands in ``metadata["resilience"]``
     run_policy: Optional[object] = None
     #: collect wall-clock metrics (a :class:`repro.obs.MetricsRegistry`
-    #: threaded through mapping, compile passes and the hardware run); the
+    #: threaded through mapping, compile steps and the hardware run); the
     #: registry snapshot lands in ``metadata["metrics"]``.  Never changes
     #: computed results — metrics only read clocks
     metrics: bool = False
@@ -146,24 +145,6 @@ class ExperimentResult:
         }
         row.update(self.power.as_row())
         return row
-
-
-def _estimation_pipeline():
-    """Mapping-only pipeline: optimized placement + routed waves, no program.
-
-    Used by the estimator path of :func:`run_experiment` when
-    ``optimize_noc`` is set: networks too large to cycle-simulate still get
-    their placement optimized and their NoC traffic routed into packed
-    waves (multicast chains, reduction trees), so the :mod:`repro.timing`
-    model prices the optimized schedule instead of the closed-form bound.
-    Weights are never materialised and no program is emitted.
-    """
-    from .. import opt as _opt  # noqa: F401 — registers the NoC passes
-    from ..ir.passes import build_pipeline
-
-    return build_pipeline(("graph-build", "logical-map", "placement",
-                           "congestion-placement", "multicast-delivery",
-                           "reduction-tree", "route-pack", "timing-model"))
 
 
 def load_dataset(name: str, train_size: int, test_size: int, seed: int) -> Dataset:
@@ -234,10 +215,11 @@ def run_experiment(config: ExperimentConfig,
             compiled = None
             if config.optimize_noc:
                 # the estimator needs the optimized placement and the packed
-                # waves to price the NoC schedule the opt passes produce
+                # waves to price the NoC schedule the opt steps produce;
+                # weights are never materialised and no program is emitted
                 mapped = ir_compile(network, arch, rows=config.fabric_rows,
-                                    pipeline=_estimation_pipeline(),
-                                    materialize=False, metrics=registry)
+                                    optimize_noc=True, materialize=False,
+                                    metrics=registry)
                 routed = mapped.routes
                 estimate = estimate_mapping(network, arch,
                                             rows=config.fabric_rows,
@@ -295,7 +277,7 @@ def run_experiment(config: ExperimentConfig,
         shenjing_accuracy = snn_accuracy
 
     # NoC metrics of the packed route plan (whenever routing ran — full
-    # compiles and the weightless optimize_noc estimation pipeline both)
+    # compiles and the weightless optimize_noc estimation compile both)
     noc_metrics: Optional[Dict[str, object]] = None
     if routed is not None:
         from ..opt.cost import plan_metrics

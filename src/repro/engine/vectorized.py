@@ -30,6 +30,7 @@ from ..core.simulator import SimulationResult
 from ..mapping.program import Program
 from .base import ExecutionBackend, normalise_spike_trains
 from .lowering import LoweredSchedule, lower_program
+from .optimize import optimize_schedule
 from .registry import register_backend
 
 
@@ -38,17 +39,9 @@ def prepare_schedule(program: Program, optimize: bool = True) -> LoweredSchedule
 
     The shared construction step of the ``vectorized`` and ``sharded``
     backends, so both always execute the same schedule for the same options.
-    Runs the engine's ``lower``/``optimize`` passes through the same pass
-    framework the mapping compiler uses (:mod:`repro.ir`), so one pipeline
-    covers graph-build through schedule optimization end to end.
     """
-    from ..ir.passes import CompileContext
-    from ..ir.pipeline import schedule_pipeline
-
-    ctx = CompileContext(program.arch)
-    ctx.set("program", program)
-    schedule_pipeline(optimize).run(ctx)
-    return ctx.require("schedule")
+    schedule = lower_program(program)
+    return optimize_schedule(schedule) if optimize else schedule
 
 
 def build_result(schedule: LoweredSchedule, counts: np.ndarray,

@@ -25,7 +25,7 @@ share:
 A purely sequential network is a chain (:meth:`LayerGraph.chain`).  Nodes
 are appended in topological order by construction (every input must
 already exist); :meth:`LayerGraph.validate` re-checks acyclicity and shape
-consistency independently so pass pipelines can assert the invariant.
+consistency independently so the compile steps can assert the invariant.
 """
 
 from __future__ import annotations

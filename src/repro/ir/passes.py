@@ -1,36 +1,15 @@
-"""Pass framework: named, composable, introspectable compilation passes.
-
-A :class:`Pass` transforms *artifacts* held by a :class:`CompileContext`
-(the layer graph, the logical mapping, the placement, the routed waves, the
-emitted program, the lowered schedule, ...).  A :class:`PassManager` runs an
-ordered list of passes, records a timing/summary trace, and supports simple
-surgery (insert/replace/drop) so experiments land as small passes instead of
-compiler rewrites.
-
-Passes declare the artifact keys they ``require`` and ``provide``; the
-manager checks both so a mis-ordered pipeline fails with a clear error
-instead of an ``AttributeError`` three layers down.  Each pass may implement
-``verify`` — an invariant check (graph acyclicity, placement validity, wave
-conflict-freedom, ...) that ``PassManager.run(validate=True)`` executes
-after the pass.
-"""
+"""The compile trace: one :class:`PassRecord` per step of
+:func:`repro.ir.compile`."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..core.config import ArchitectureConfig
-
-
-class PassError(RuntimeError):
-    """Raised on pipeline misuse (missing artifacts, unknown passes, ...)."""
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
 class PassRecord:
-    """One trace entry: what a pass did and how long it took."""
+    """One trace entry: what a compile step did and how long it took."""
 
     name: str
     seconds: float
@@ -44,189 +23,3 @@ class PassRecord:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         suffix = f" — {self.summary}" if self.summary else ""
         return f"{self.name}: {self.seconds * 1e3:.1f} ms{suffix}"
-
-
-class CompileContext:
-    """Mutable state threaded through a pass pipeline."""
-
-    def __init__(self, arch: ArchitectureConfig, network=None,
-                 options: Optional[Dict[str, object]] = None):
-        self.arch = arch
-        self.options: Dict[str, object] = dict(options or {})
-        self.artifacts: Dict[str, object] = {}
-        if network is not None:
-            self.artifacts["network"] = network
-        self.trace: List[PassRecord] = []
-        #: optional wall-clock sink (duck-typed ``repro.obs.MetricsRegistry``):
-        #: when set, the pass manager mirrors every PassRecord into it as a
-        #: ``compile/<pass>`` span, so one snapshot holds compile + run time
-        self.metrics = None
-
-    def get(self, key: str, default=None):
-        return self.artifacts.get(key, default)
-
-    def set(self, key: str, value) -> None:
-        self.artifacts[key] = value
-
-    def require(self, key: str):
-        try:
-            return self.artifacts[key]
-        except KeyError:
-            raise PassError(
-                f"artifact {key!r} is not available; run the pass that "
-                f"provides it first (have: {sorted(self.artifacts)})"
-            ) from None
-
-    def option(self, key: str, default=None):
-        return self.options.get(key, default)
-
-    def describe_trace(self) -> str:
-        return "\n".join(str(record) for record in self.trace)
-
-
-class Pass:
-    """Base class of all compilation passes."""
-
-    #: unique pass name (the registry / pipeline key)
-    name: str = ""
-    #: artifact keys that must exist before the pass runs
-    requires: Tuple[str, ...] = ()
-    #: artifact keys the pass adds or replaces
-    provides: Tuple[str, ...] = ()
-
-    def run(self, ctx: CompileContext) -> Optional[str]:
-        """Execute the pass; optionally return a one-line summary."""
-        raise NotImplementedError
-
-    def verify(self, ctx: CompileContext) -> None:
-        """Check the pass's invariants (used by ``run(validate=True)``)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Pass {self.name}>"
-
-
-class FunctionPass(Pass):
-    """A pass defined by a plain function (for quick custom passes)."""
-
-    def __init__(self, name: str, fn: Callable[[CompileContext], Optional[str]],
-                 requires: Sequence[str] = (), provides: Sequence[str] = ()):
-        self.name = name
-        self._fn = fn
-        self.requires = tuple(requires)
-        self.provides = tuple(provides)
-
-    def run(self, ctx: CompileContext) -> Optional[str]:
-        return self._fn(ctx)
-
-
-class PassManager:
-    """An ordered pass pipeline with trace recording and simple surgery."""
-
-    def __init__(self, passes: Sequence[Pass]):
-        self.passes: List[Pass] = list(passes)
-        names = [p.name for p in self.passes]
-        if len(set(names)) != len(names):
-            raise PassError(f"duplicate pass names in pipeline: {names}")
-
-    # ------------------------------------------------------------------
-    def names(self) -> List[str]:
-        return [p.name for p in self.passes]
-
-    def describe(self) -> str:
-        lines = ["PassManager:"]
-        for p in self.passes:
-            requires = ", ".join(p.requires) or "-"
-            provides = ", ".join(p.provides) or "-"
-            lines.append(f"  {p.name:<16} requires: {requires:<24} "
-                         f"provides: {provides}")
-        return "\n".join(lines)
-
-    def _index(self, name: str) -> int:
-        for position, p in enumerate(self.passes):
-            if p.name == name:
-                return position
-        raise PassError(f"no pass named {name!r} in pipeline {self.names()}")
-
-    def insert_after(self, name: str, new_pass: Pass) -> "PassManager":
-        position = self._index(name)
-        return PassManager(self.passes[:position + 1] + [new_pass]
-                           + self.passes[position + 1:])
-
-    def insert_before(self, name: str, new_pass: Pass) -> "PassManager":
-        position = self._index(name)
-        return PassManager(self.passes[:position] + [new_pass]
-                           + self.passes[position:])
-
-    def replace(self, name: str, new_pass: Pass) -> "PassManager":
-        position = self._index(name)
-        return PassManager(self.passes[:position] + [new_pass]
-                           + self.passes[position + 1:])
-
-    def without(self, name: str) -> "PassManager":
-        position = self._index(name)
-        return PassManager(self.passes[:position] + self.passes[position + 1:])
-
-    # ------------------------------------------------------------------
-    def run(self, ctx: CompileContext, validate: bool = False) -> CompileContext:
-        """Run every pass in order; with ``validate`` run invariant checks."""
-        for p in self.passes:
-            for key in p.requires:
-                if key not in ctx.artifacts:
-                    raise PassError(
-                        f"pass {p.name!r} requires artifact {key!r} which no "
-                        f"earlier pass provided (have: {sorted(ctx.artifacts)})"
-                    )
-            start = time.perf_counter()
-            summary = p.run(ctx) or ""
-            seconds = time.perf_counter() - start
-            for key in p.provides:
-                if key not in ctx.artifacts:
-                    raise PassError(
-                        f"pass {p.name!r} declared it provides {key!r} but "
-                        "did not set it"
-                    )
-            ctx.trace.append(PassRecord(name=p.name, seconds=seconds,
-                                        summary=summary))
-            if ctx.metrics is not None:
-                # mirror the record as a compile-track span (spans with no
-                # explicit start lay end-to-end per track, matching the
-                # sequential pass execution)
-                ctx.metrics.record_span("compile/" + p.name, seconds,
-                                        track="compile")
-            if validate:
-                p.verify(ctx)
-        return ctx
-
-
-# ----------------------------------------------------------------------
-# Pass registry (name -> factory), so pipelines can be built by name
-# ----------------------------------------------------------------------
-PASS_REGISTRY: Dict[str, Callable[[], Pass]] = {}
-
-
-def register_pass(cls):
-    """Class decorator: register a Pass subclass under its ``name``."""
-    name = getattr(cls, "name", "")
-    if not name:
-        raise PassError(f"pass class {cls.__name__} must define a name")
-    if name in PASS_REGISTRY and PASS_REGISTRY[name] is not cls:
-        raise PassError(f"pass {name!r} is already registered")
-    PASS_REGISTRY[name] = cls
-    return cls
-
-
-def build_pass(name: str) -> Pass:
-    """Instantiate the registered pass ``name``."""
-    try:
-        factory = PASS_REGISTRY[name]
-    except KeyError:
-        available = ", ".join(sorted(PASS_REGISTRY)) or "<none>"
-        raise PassError(
-            f"unknown pass {name!r} (available: {available})"
-        ) from None
-    return factory()
-
-
-def build_pipeline(names: Sequence[str]) -> PassManager:
-    """Build a :class:`PassManager` from registered pass names."""
-    return PassManager([build_pass(name) for name in names])

@@ -60,9 +60,9 @@ class GraphSnnRunner:
             for node in graph.topological() if node.kind == "concat"
         }
         counts = np.zeros((batch, graph.output_size), dtype=np.int64)
-        spike_totals: Dict[str, int] = {
-            node.name: 0 for node in graph.topological() if node.kind != "input"
-        }
+        # concat nodes only rewire their producers' spikes, so they get no
+        # entry of their own (it would count those spikes twice)
+        spike_totals = {node.name: 0 for node in graph.fire_nodes()}
         spike_totals["input"] = 0
         output_trains = (
             np.zeros((batch, timesteps, graph.output_size), dtype=bool)
@@ -85,8 +85,8 @@ class GraphSnnRunner:
                     for spec, source in node.contributions():
                         total += _linear_sum(values[source], spec)
                     out = states[node.name].step(total)
+                    spike_totals[node.name] += int(out.sum())
                 values[node.name] = out
-                spike_totals[node.name] += int(out.sum())
             counts += values[graph.output]
             if output_trains is not None:
                 output_trains[:, step, :] = values[graph.output]
@@ -127,9 +127,8 @@ class GraphSnnRunner:
     def _activity(self, spike_totals: Dict[str, int], batch: int,
                   timesteps: int) -> Dict[str, float]:
         sizes = {"input": self.graph.input_size}
-        for node in self.graph.topological():
-            if node.kind != "input":
-                sizes[node.name] = node.out_size
+        for node in self.graph.fire_nodes():
+            sizes[node.name] = node.out_size
         activity = {}
         for name, total in spike_totals.items():
             denominator = batch * timesteps * sizes[name]

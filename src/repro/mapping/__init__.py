@@ -3,11 +3,11 @@
 Logical mapping (layer splitting, PS adder trees and add-joins, spike-NoC
 source/destination matching), physical mapping (greedy placement,
 deterministic XY routing, conflict-free wave packing) and the program of
-atomic operations the :func:`repro.ir.compile` pipeline emits, plus a
-structural estimator for very large networks.
+atomic operations the :func:`repro.ir.compile` steps emit, plus a
+structural estimator for very large networks.  The compile function and its
+result, :class:`repro.ir.CompiledNetwork`, live in :mod:`repro.ir`.
 """
 
-from .compiler import CompiledNetwork
 from .conv import ConvGeometry, conv_block_size, conv_geometry, estimate_conv_cores, map_conv
 from .estimator import LayerEstimate, MappingEstimate, estimate_mapping, estimate_network_cores
 from .fc import FcGeometry, algorithm1_schedule, fc_geometry, fold_rounds, map_dense
@@ -39,7 +39,6 @@ from .routing import (
     Wave,
     pack_waves,
     route_length,
-    serial_waves,
     total_hop_count,
     verify_waves,
     xy_route,
@@ -47,7 +46,6 @@ from .routing import (
 from .spike_mapping import DeliverySegment, canonicalise_axons, segments_summary
 
 __all__ = [
-    "CompiledNetwork",
     "ConvGeometry",
     "DeliverySegment",
     "EXTERNAL_INPUT",
@@ -94,7 +92,6 @@ __all__ = [
     "place_network",
     "route_length",
     "segments_summary",
-    "serial_waves",
     "total_hop_count",
     "verify_waves",
     "xy_route",

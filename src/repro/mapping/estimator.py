@@ -138,7 +138,7 @@ def estimate_mapping(graph, arch: ArchitectureConfig,
     model, which prices the actual packed wave schedule — required for
     ``optimize_noc=True`` mappings, whose multicast chains and reduction
     trees the closed-form walk cannot see.  A ``timing`` estimate the
-    ``timing-model`` pass already produced (``CompiledNetwork.timing``)
+    ``timing-model`` step already produced (``CompiledNetwork.timing``)
     can be passed directly to skip re-pricing the plan.  Operation counts
     stay structural either way.
     """

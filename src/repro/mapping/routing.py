@@ -8,8 +8,8 @@ destination) along a deterministic X-then-Y route, exactly the paper's
 "simple deterministic XY routing".
 
 Because the NoCs have no buffers or flow control, two packets must never use
-the same directed link in the same cycle.  The compile-time *wave packing*
-pass groups transfers into waves such that, hop index by hop index, no two
+the same directed link in the same cycle.  Compile-time *wave packing*
+groups transfers into waves such that, hop index by hop index, no two
 transfers in a wave share a directed link or a destination input register;
 transfers that would conflict wait for a later wave — the paper's "a packet
 is scheduled to wait if the output port/link is occupied".
@@ -204,16 +204,6 @@ def pack_waves(transfers: Sequence[Transfer]) -> List[Wave]:
     return waves
 
 
-def serial_waves(transfers: Sequence[Transfer]) -> List[Wave]:
-    """One transfer per wave — the fully serialised (reference) schedule."""
-    waves = []
-    for transfer in transfers:
-        wave = Wave()
-        wave.add(transfer, transfer.route)
-        waves.append(wave)
-    return waves
-
-
 def total_hop_count(transfers: Sequence[Transfer]) -> int:
     """Total number of link traversals of a set of transfers."""
     return sum(transfer.hops for transfer in transfers)
@@ -225,8 +215,8 @@ def verify_waves(waves: Sequence[Wave]) -> None:
     Recomputes each transfer's per-step resource usage (directed links,
     injection and delivery ports) from scratch — without trusting the
     bookkeeping :class:`Wave` maintained while packing — and raises
-    :class:`MappingError` on any double booking.  Used by the pass
-    pipeline's invariant checks.
+    :class:`MappingError` on any double booking.  ``route-pack``'s
+    invariant check under ``repro.ir.compile(..., validate=True)``.
     """
     for wave_index, wave in enumerate(waves):
         used: Dict[int, Set[Tuple[TileCoordinate, object, str]]] = {}

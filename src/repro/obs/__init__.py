@@ -63,7 +63,6 @@ from .metrics import (
 from .profile import (
     TIMESTEP_SAMPLE_LIMIT,
     Stopwatch,
-    absorb_pass_records,
     absorb_resilience,
     span,
     stopwatch,
@@ -91,7 +90,6 @@ __all__ = [
     "Stopwatch",
     "TIMESTEP_SAMPLE_LIMIT",
     "Trace",
-    "absorb_pass_records",
     "absorb_resilience",
     "compare_link_traffic",
     "default_bounds",

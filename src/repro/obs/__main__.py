@@ -3,7 +3,7 @@
 Compiles a benchmark builder (random weights, seeded), runs a small probed
 batch on the chosen backend and prints the full observability report:
 per-layer firing rates, the NoC link heatmap with the predicted-vs-observed
-drift check, compile pass timings and the execution-stats breakdown.  With
+drift check, compile step timings and the execution-stats breakdown.  With
 ``--chrome-trace PATH`` the unified compile+execution trace is written as
 Chrome ``trace_event`` JSON (open in chrome://tracing or Perfetto); with
 ``--metrics`` a wall-clock :class:`~repro.obs.MetricsRegistry` is threaded
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="vectorized",
                         help="execution backend (default vectorized)")
     parser.add_argument("--optimized", action="store_true",
-                        help="compile through the repro.opt NoC passes")
+                        help="compile with optimize_noc=True")
     parser.add_argument("--chrome-trace", metavar="PATH",
                         help="write the unified trace as Chrome trace_event "
                              "JSON to PATH")

@@ -6,8 +6,9 @@ backends: instrumented code pays one ``None`` check, nothing else.
 
 The span *naming convention* is a slash-separated path:
 
-``compile/<pass>``
-    one span per compile pass, reusing ``PassRecord`` seconds.
+``compile/<step>``
+    one span per compile step, recorded by ``repro.ir.compile(...,
+    metrics=registry)`` from its ``PassRecord`` seconds.
 ``pipeline/<step>``
     experiment-pipeline phases (e.g. ``pipeline/mapping``).
 ``run/<backend>/<phase>``
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .metrics import MetricsRegistry
 
@@ -40,7 +41,6 @@ __all__ = [
     "stopwatch",
     "span",
     "time_block",
-    "absorb_pass_records",
     "absorb_resilience",
 ]
 
@@ -103,24 +103,6 @@ def time_block(metrics: Optional[MetricsRegistry], name: str,
         watch.__exit__()
         if metrics is not None:
             metrics.record_span(name, watch.seconds, track=track)
-
-
-def absorb_pass_records(metrics: Optional[MetricsRegistry], records: Sequence,
-                        prefix: str = "compile/") -> None:
-    """Surface ``PassRecord`` timings as compile-track spans.
-
-    Passes run strictly sequentially, so the spans are laid end-to-end
-    from offset zero — the same convention the Chrome-trace compile
-    track uses for its cycle-priced slices.
-    """
-    if metrics is None:
-        return
-    offset = 0.0
-    for record in records:
-        seconds = float(record.seconds)
-        metrics.record_span(prefix + str(record.name), seconds,
-                            track="compile", start=offset)
-        offset += seconds
 
 
 def absorb_resilience(metrics: Optional[MetricsRegistry], report) -> None:

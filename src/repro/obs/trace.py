@@ -1,18 +1,18 @@
 """The unified trace: one timeline spanning compile and execution.
 
 A :class:`Trace` joins the two halves of the stack that already record
-timing but never met: the compiler's per-pass wall-clock records (every
-:class:`~repro.ir.passes.PassRecord` the
-:class:`~repro.ir.passes.PassManager` appended to the compile trace) and
+timing but never met: the compiler's per-step wall-clock records (the
+:class:`~repro.ir.passes.PassRecord` list of
+:attr:`repro.ir.CompiledNetwork.trace`) and
 the analytic execution timeline (the per-layer, per-stage cycle breakdown
 of :class:`~repro.timing.TimingEstimate`, which is exact for emitted
 programs).  It exports as
 
 * Chrome ``trace_event`` JSON (:meth:`Trace.to_chrome_trace` /
   :meth:`Trace.save`) — loadable in ``chrome://tracing`` or Perfetto,
-  with a *compile* process (one slice per pass, real microseconds) and an
-  *execution* process (one slice per layer stage per timestep, 1 cycle
-  rendered as 1 µs);
+  with a *compile* process (one slice per compile step, real
+  microseconds) and an *execution* process (one slice per layer stage per
+  timestep, 1 cycle rendered as 1 µs);
 * a structured metrics dict (:meth:`Trace.metrics`) for bench sections
   and experiment metadata.
 
@@ -67,23 +67,18 @@ class Trace:
                       timesteps: Optional[int] = None,
                       resilience: Optional[object] = None,
                       wallclock: Optional[object] = None) -> "Trace":
-        """Build the trace of one :class:`CompiledNetwork` compile.
+        """Build the trace of one :class:`~repro.ir.CompiledNetwork`.
 
-        Pulls the pass records the :class:`~repro.ir.passes.PassManager`
-        recorded and the timing estimate the ``timing-model`` pass cached
-        (re-derived from the program if the compile skipped that pass).
+        Pulls the step records of the compile trace and the timing
+        estimate of its ``timing-model`` step.
         """
-        timing = getattr(compiled, "timing", None)
-        if timing is None and getattr(compiled, "program", None) is not None:
-            from ..timing import time_program
-
-            timing = time_program(compiled.program)
+        timing = compiled.timing
         if timesteps is None:
             declared = getattr(timing, "timesteps", None)
             timesteps = int(declared) if declared else 1
         return cls(
-            name=getattr(compiled, "name", "") or "",
-            pass_records=list(getattr(compiled, "trace", ())),
+            name=compiled.name,
+            pass_records=list(compiled.trace),
             timing=timing,
             probes=probes,
             timesteps=timesteps,
@@ -95,7 +90,7 @@ class Trace:
     def to_chrome_trace(self) -> Dict[str, object]:
         """The run as a Chrome ``trace_event`` JSON object.
 
-        Two processes: *compile* (pid 1, one ``X`` slice per pass, real
+        Two processes: *compile* (pid 1, one ``X`` slice per step, real
         wall-clock microseconds) and *execution* (pid 2, one ``X`` slice
         per layer stage per timestep, 1 cycle = 1 µs of trace time).
         """
@@ -204,7 +199,7 @@ class Trace:
 
     # -- structured metrics --------------------------------------------
     def metrics(self) -> Dict[str, object]:
-        """Structured summary: per-pass seconds, per-layer cycles, probes."""
+        """Structured summary: per-step seconds, per-layer cycles, probes."""
         payload: Dict[str, object] = {
             "name": self.name,
             "compile": {
@@ -229,7 +224,7 @@ class Trace:
         return payload
 
     def describe(self) -> str:
-        """Pass-timing table as text (the ``--trace`` / CLI rendering)."""
+        """Step-timing table as text (the ``--trace`` / CLI rendering)."""
         lines = [f"compile trace ({len(self.pass_records)} passes):"]
         for record in self.pass_records:
             lines.append(f"  {record.name:<24} {record.seconds * 1e3:>9.3f} ms"

@@ -3,43 +3,38 @@
 The paper's bottleneck is partial-sum NoC traffic, not compute; this
 package is the optimization layer that attacks it.  It contributes a NoC
 cost model (:mod:`repro.opt.cost`: per-timestep wave depth, hop counts,
-per-link congestion histograms) and three registered passes that slot into
-the :mod:`repro.ir` pipeline between ``placement`` and ``route-pack``:
+per-link congestion histograms) and the three optimizations
+``repro.ir.compile(network, arch, optimize_noc=True)`` applies:
 
-* ``congestion-placement`` — cost-guided annealing placement search
-  (minimise predicted NoC traffic instead of bounding-box area);
-* ``multicast-delivery`` — merge fan-out spike SENDs into
-  eject-and-forward multicast chains (one injection, each link once);
-* ``reduction-tree`` — balanced-tree partial-sum folds, O(log k) rounds.
+* the ``congestion-placement`` step — cost-guided annealing placement
+  search (:func:`optimize_placement`: minimise predicted NoC traffic
+  instead of bounding-box area), run after ``placement``;
+* :class:`MulticastDelivery` — ``route-pack`` merges fan-out spike SENDs
+  into eject-and-forward multicast chains (one injection, each link once);
+* :class:`TreeReduction` — ``route-pack`` folds partial sums as balanced
+  trees, O(log k) rounds.
 
-Enable with ``repro.ir.compile(network, arch, optimize_noc=True)``, a
-custom ``pipeline=optimized_pipeline()``, or
-``ExperimentConfig(optimize_noc=True)``.  Optimized compiles stay
-bit-exact (outputs and :class:`~repro.core.stats.ExecutionStats`) across
-the reference/vectorized/sharded backends.
+``ExperimentConfig(optimize_noc=True)`` turns them on for an experiment.
+Optimized compiles stay bit-exact (outputs and
+:class:`~repro.core.stats.ExecutionStats`) across the
+reference/vectorized/sharded backends.
 
 Usage
 -----
 ::
 
     from repro.ir import compile
-    from repro.opt import optimized_pipeline, plan_metrics, \
-        compare_noc_pipelines
+    from repro.opt import plan_metrics, compare_noc_pipelines
 
-    compiled = compile(network, arch, optimize_noc=True)        # the knob
-    compiled = compile(network, arch,
-                       pipeline=optimized_pipeline())           # same thing
+    compiled = compile(network, arch, optimize_noc=True)
     plan_metrics(compiled.routes).as_dict()     # wave depth, hops, links
     compiled.timing.cycles_per_timestep        # repro.timing estimate
 
     # default vs optimized, incl. estimated cycles per timestep:
     compare_noc_pipelines(network, arch)
 
-    # tuning knobs ride through compile(..., noc_options={...}):
-    #   noc_seed, noc_placement_iterations, multicast_max_targets
-
 See ``docs/timing.md`` for how the cycle estimates are derived and
-``docs/pipeline.md`` for where the passes slot into the pipeline.
+``docs/pipeline.md`` for where the steps run in ``compile``.
 """
 
 from __future__ import annotations
@@ -62,23 +57,12 @@ from .cost import (
 from .multicast import DEFAULT_MAX_TARGETS, MulticastDelivery
 from .placement import PlacementSearchResult, optimize_placement
 from .reduction import TreeReduction
-from .passes import (
-    OPT_PASSES,
-    CongestionPlacementPass,
-    MulticastDeliveryPass,
-    ReductionTreePass,
-    optimized_pipeline,
-)
 
 __all__ = [
     "DEFAULT_MAX_TARGETS",
-    "CongestionPlacementPass",
     "MulticastDelivery",
-    "MulticastDeliveryPass",
     "NocMetrics",
-    "OPT_PASSES",
     "PlacementSearchResult",
-    "ReductionTreePass",
     "TrafficEdge",
     "TrafficModel",
     "TreeReduction",
@@ -88,7 +72,6 @@ __all__ = [
     "core_adjacency",
     "link_congestion",
     "optimize_placement",
-    "optimized_pipeline",
     "placement_cost",
     "plan_metrics",
     "predicted_link_traffic",
@@ -96,8 +79,7 @@ __all__ = [
 ]
 
 
-def compare_noc_pipelines(network, arch, rows: Optional[int] = None,
-                          noc_options: Optional[Dict[str, object]] = None
+def compare_noc_pipelines(network, arch, rows: Optional[int] = None
                           ) -> Dict[str, object]:
     """Compile ``network`` through both pipelines and compare NoC metrics.
 
@@ -106,7 +88,7 @@ def compare_noc_pipelines(network, arch, rows: Optional[int] = None,
     the optimized pipeline cut the metric by 25 %).  Each metrics dict also
     carries ``estimated_cycles_per_timestep`` — the :mod:`repro.timing`
     analytic estimate of the compiled schedule — so the cycle impact of the
-    NoC passes is surfaced next to the raw wave metrics.  Used by the
+    NoC optimizations is surfaced next to the raw wave metrics.  Used by the
     benchmark harness and the acceptance tests; compiles the network twice
     (the mapping is re-built, so the two compiles never share mutable
     state).
@@ -115,8 +97,7 @@ def compare_noc_pipelines(network, arch, rows: Optional[int] = None,
 
     def metrics_for(optimize: bool) -> Dict[str, object]:
         compiled = ir_compile(network, arch, rows=rows,
-                              optimize_noc=optimize,
-                              noc_options=noc_options)
+                              optimize_noc=optimize)
         row = plan_metrics(compiled.routes).as_dict()
         row["estimated_cycles_per_timestep"] = \
             compiled.timing.cycles_per_timestep

@@ -30,7 +30,7 @@ from ..mapping.routing import Transfer, route_length
 
 @dataclass
 class TreeReduction:
-    """Reduction-round strategy installed by the ``reduction-tree`` pass."""
+    """Reduction rounds ``route-pack`` schedules under ``optimize_noc``."""
 
     def rounds(self, layer: LogicalLayer,
                placement: Placement) -> List[List[Transfer]]:

@@ -1,11 +1,11 @@
 """Compile-once, serve-many inference: the request path over the engine.
 
 Everything below this package is batch-oriented; :mod:`repro.serve` is
-the layer that holds a :class:`~repro.mapping.compiler.CompiledNetwork`
+the layer that holds a :class:`~repro.ir.CompiledNetwork`
 resident and answers a stream of single-frame requests against it:
 
 * :class:`Server` — compile-once artifact cache keyed on
-  ``(network, arch, pipeline-options)`` content, session registry,
+  ``(network, arch, compile-options)`` content, session registry,
   server-level :class:`~repro.obs.MetricsRegistry` with OpenMetrics
   export;
 * :class:`Session` (the ``server.load(model)`` handle) — bounded FIFO

@@ -1,12 +1,12 @@
 """Compiled-artifact cache: compile once per ``(network, arch, options)``.
 
 The mapping compiler is deterministic, so two requests to serve the same
-network on the same architecture with the same pipeline options need one
+network on the same architecture with the same compile options need one
 compilation, not two.  The cache key is a *content* fingerprint — the
 pickled network and architecture hashed with SHA-256 plus a canonical
-rendering of the pipeline options — so an equal model rebuilt from
+rendering of the compile options — so an equal model rebuilt from
 scratch hits the cache, while any change to weights, topology,
-architecture geometry or pass options misses.  Keying on content (never
+architecture geometry or compile options misses.  Keying on content (never
 on object identity or a user-supplied name) is also what guarantees two
 *different* models can never share a compiled artifact — and therefore
 never share an engine or its mutable backend state.
@@ -30,7 +30,7 @@ def fingerprint(obj: object) -> str:
 
 
 def artifact_key(network: object, arch: object, **options: object) -> str:
-    """The cache key of one ``(network, arch, pipeline-options)`` triple."""
+    """The cache key of one ``(network, arch, compile-options)`` triple."""
     rendered = ";".join(f"{name}={options[name]!r}"
                         for name in sorted(options))
     digest = hashlib.sha256()

@@ -4,7 +4,7 @@ The paper's Table IV cycle counts are the headline reproduction target.
 This package prices a *compiled* mapping from the schedule it will actually
 execute — the packed waves of the route plan and the emitted program —
 instead of per-layer closed-form heuristics, so estimates track whatever
-the :mod:`repro.opt` NoC passes did to the schedule (multicast chains,
+the :mod:`repro.opt` NoC optimizations did to the schedule (multicast chains,
 reduction trees, congestion-aware placement):
 
 * each delivery or reduction wave costs its depth (longest route in hops,
@@ -12,7 +12,7 @@ reduction trees, congestion-aware placement):
 * each layer's ``ACC`` phase costs ``arch.long_op_cycles`` and its fire
   phase one cycle (:mod:`repro.mapping.program` group latencies);
 * reduction cost follows the emitted round shape — O(log k) tree rounds
-  under ``reduction-tree``, the serial O(k) member chain otherwise.
+  under ``optimize_noc``, the serial O(k) member chain otherwise.
 
 These are exactly the rules program emission and the simulator follow, so
 the wave-derived estimate equals the simulator's
@@ -27,10 +27,10 @@ Usage
 ::
 
     from repro.ir import compile
-    from repro.timing import time_compiled, time_route_plan, time_program
+    from repro.timing import time_route_plan, time_program
 
-    compiled = compile(network, arch)          # pipeline ends in the
-    print(compiled.timing.describe())          # 'timing-model' pass
+    compiled = compile(network, arch)          # compile ends in the
+    print(compiled.timing.describe())          # 'timing-model' step
 
     timing = time_route_plan(compiled.routes, arch)   # price a plan directly
     timing = time_program(compiled.program)           # or the emitted program
@@ -55,7 +55,6 @@ from .model import (
     WaveTiming,
     relative_error,
     serialization_lower_bound,
-    time_compiled,
     time_program,
     time_route_plan,
     time_wave,
@@ -69,7 +68,6 @@ __all__ = [
     "WaveTiming",
     "relative_error",
     "serialization_lower_bound",
-    "time_compiled",
     "time_program",
     "time_route_plan",
     "time_wave",

@@ -29,8 +29,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="weight/calibration seed (default 0)")
     parser.add_argument("--optimized", action="store_true",
-                        help="also compile with the repro.opt NoC passes "
-                             "and print both breakdowns")
+                        help="also compile with optimize_noc=True and "
+                             "print both breakdowns")
     args = parser.parse_args(argv)
 
     from ..apps.networks import seeded_benchmark_graph

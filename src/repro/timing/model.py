@@ -11,7 +11,7 @@ Every quantity here mirrors a rule of the execution model exactly:
 * a layer's ``fire`` phase is one group of ``SPIKE`` operations and costs
   one cycle;
 * reduction rounds cost the sum of their waves' depths — O(log k) rounds
-  under the ``reduction-tree`` pass, the serial O(k) member chain
+  under ``optimize_noc``'s reduction trees, the serial O(k) member chain
   otherwise; the shape is read off the emitted schedule, not assumed.
 
 Because the simulator charges each instruction group the latency of its
@@ -19,7 +19,8 @@ slowest operation and nothing else (no stalls — conflict-freedom is a
 compile-time invariant), the wave-derived estimate equals
 :meth:`~repro.mapping.program.Program.cycles_per_timestep` and the
 simulator's :class:`~repro.core.stats.ExecutionStats.cycles` exactly.  The
-``timing-model`` pipeline pass re-checks that equality as its invariant.
+``timing-model`` step of :func:`repro.ir.compile` re-checks that equality
+as its invariant under ``validate=True``.
 
 For traffic that has *not* been packed into waves yet the model offers
 :func:`serialization_lower_bound` — the classical congestion/dilation bound
@@ -231,8 +232,8 @@ def time_program(program: Program,
     Sums :meth:`InstructionGroup.latency` per phase — by definition equal
     to :meth:`Program.cycles_per_timestep` — and attributes each phase to
     its layer via the ``layer/stage`` phase naming convention.  Useful when
-    only the program survives (no route plan), and as the cross-check the
-    ``timing-model`` pass invariant runs against the wave-derived estimate.
+    only the program survives (no route plan), and as a cross-check of the
+    wave-derived estimate.
     """
     long_op = program.arch.long_op_cycles
     if timesteps is None:
@@ -265,39 +266,6 @@ def time_program(program: Program,
     return TimingEstimate(name=name, layers=[by_layer[key] for key in order],
                           long_op_cycles=long_op, timesteps=timesteps,
                           source="program")
-
-
-def time_compiled(compiled, arch: Optional[ArchitectureConfig] = None,
-                  timesteps: Optional[int] = None) -> TimingEstimate:
-    """Price a :class:`~repro.mapping.compiler.CompiledNetwork`.
-
-    Returns the estimate the ``timing-model`` pass cached on the compile —
-    unless the caller overrides ``arch`` or ``timesteps``, in which case
-    the plan is re-priced under those (the cached estimate was produced
-    with the compile-time architecture).  Prefers the packed route plan
-    (per-wave breakdown with hop counts); falls back to the emitted
-    program when no plan was kept.
-    """
-    if getattr(compiled, "timing", None) is not None \
-            and arch is None and timesteps is None:
-        return compiled.timing
-    if compiled.routes is not None:
-        if arch is None and compiled.program is not None:
-            arch = compiled.program.arch
-        if arch is None:
-            raise ValueError("arch required to price a route plan without "
-                             "an emitted program")
-        if timesteps is None:
-            timesteps = compiled.logical.metadata.get("timesteps") \
-                if compiled.logical is not None else None
-        return time_route_plan(compiled.routes, arch,
-                               name=compiled.name, timesteps=timesteps)
-    if compiled.program is not None:
-        return time_program(compiled.program, timesteps=timesteps)
-    raise ValueError(
-        "compiled network carries neither a route plan nor a program; run "
-        "the pipeline at least through 'route-pack'"
-    )
 
 
 #: maximum relative error of the timing model vs simulated cycles.  The

@@ -6,8 +6,9 @@ Two invariants, both cheap enough for tier-1:
   code span of any ``docs/*.md`` file or of ``README.md`` must resolve —
   the module prefix imports and the remaining attribute chain exists — so
   renames and removals surface as a test failure, not stale documentation;
-* every pass in the compiler's pass registry appears in
-  ``docs/pipeline.md``, so new passes must be documented to land.
+* every step of ``repro.ir.compile``'s trace (``optimize_noc=True``, so
+  all seven run) appears as a code span in ``docs/pipeline.md``, so a new
+  step must be documented to land.
 """
 
 import importlib
@@ -95,17 +96,21 @@ def test_code_fence_symbols_resolve(path):
     )
 
 
-def test_every_registered_pass_documented():
-    # importing these populates the full registry (standard + NoC passes)
-    import repro.ir.pipeline  # noqa: F401
-    import repro.opt  # noqa: F401
-    from repro.ir import PASS_REGISTRY
+def test_every_compile_step_documented():
+    from repro.apps.networks import seeded_benchmark_graph
+    from repro.core.config import DEFAULT_ARCH
+    from repro.ir import compile as ir_compile
 
+    graph, _ = seeded_benchmark_graph("mnist-mlp-small", 4)
+    compiled = ir_compile(graph, DEFAULT_ARCH, optimize_noc=True,
+                          validate=True)
     text = (DOCS_DIR / "pipeline.md").read_text()
-    undocumented = [name for name in sorted(PASS_REGISTRY)
-                    if f"`{name}`" not in text]
+    spans = set(SPAN_RE.findall(FENCE_RE.sub("", text)))
+    undocumented = [record.name for record in compiled.trace
+                    if record.name not in spans]
+    assert len(compiled.trace) == 7
     assert not undocumented, (
-        "docs/pipeline.md does not document registered passes: "
+        "docs/pipeline.md does not document compile steps: "
         + ", ".join(undocumented)
     )
 

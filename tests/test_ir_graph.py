@@ -165,7 +165,7 @@ class TestGraphFromSnn:
         assert graph.output == "block"
 
     def test_graph_build_passes_graphs_through(self, arch, dense_snn):
-        compiled = ir_compile(dense_snn, arch, pipeline=["graph-build"])
+        compiled = ir_compile(dense_snn, arch)
         assert compiled.graph is dense_snn
         with pytest.raises(GraphError, match="cannot compile a int"):
-            ir_compile(42, arch, pipeline=["graph-build"])
+            ir_compile(42, arch)

@@ -1,28 +1,20 @@
-"""Tests for the pass-based compilation pipeline.
+"""Tests for the compile function.
 
-Covers the PassManager mechanics (ordering, artifact requirements, traces,
-surgery), per-pass invariant checks, and end-to-end DAG compilation —
-concat joins whose consumer cores read *several* producer layers, and dense
-add-joins — with bit-exact three-way backend parity.
+Covers the step trace of both pipelines (default and ``optimize_noc``),
+``materialize=False``, the per-step invariant checks, and end-to-end DAG
+compilation — concat joins whose consumer cores read *several* producer
+layers, and dense add-joins — with bit-exact three-way backend parity.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.engine import assert_backend_parity, run as engine_run
-from repro.ir import (
-    GRAPH_INPUT,
-    CompileContext,
-    FunctionPass,
-    GraphSnnRunner,
-    LayerGraph,
-    PROGRAM_PASSES,
-    PassError,
-    PassManager,
-    build_pipeline,
-    compile as ir_compile,
-    default_pipeline,
-)
+from repro.ir import GraphSnnRunner, LayerGraph, compile as ir_compile
+from repro.ir.pipeline import check_placement
+from repro.mapping import MappingError, verify_waves
 from repro.snn.encoding import deterministic_encode
 from repro.snn.spec import DenseSpec
 
@@ -52,59 +44,43 @@ def dag_graph(rng) -> LayerGraph:
     return graph
 
 
-class TestPassManager:
-    def test_default_pipeline_names(self):
-        assert tuple(default_pipeline().names()) == PROGRAM_PASSES
-        schedule = default_pipeline(to="schedule")
-        assert schedule.names()[-2:] == ["lower", "optimize"]
+#: the step names of ``compile``'s trace, in order
+DEFAULT_STEPS = ["graph-build", "logical-map", "placement", "route-pack",
+                 "emit-program", "timing-model"]
+NOC_STEPS = ["graph-build", "logical-map", "placement",
+             "congestion-placement", "route-pack", "emit-program",
+             "timing-model"]
 
-    def test_unknown_pass_name_rejected(self):
-        with pytest.raises(PassError, match="unknown pass"):
-            build_pipeline(["graph-build", "frobnicate"])
 
-    def test_missing_artifact_fails_clearly(self, arch):
-        ctx = CompileContext(arch)  # no network artifact
-        with pytest.raises(PassError, match="requires artifact 'network'"):
-            default_pipeline().run(ctx)
+class TestCompile:
+    def test_signature(self):
+        assert list(inspect.signature(ir_compile).parameters) == [
+            "graph", "arch", "rows", "optimize_noc", "materialize",
+            "validate", "metrics"]
 
-    def test_trace_records_every_pass(self, arch, dense_snn):
+    def test_trace_records_every_step(self, arch, dense_snn):
         compiled = ir_compile(dense_snn, arch)
-        assert [record.name for record in compiled.trace] == list(PROGRAM_PASSES)
+        assert [record.name for record in compiled.trace] == DEFAULT_STEPS
         assert all(record.seconds >= 0 for record in compiled.trace)
         assert "cores" in compiled.describe_trace()
 
-    def test_custom_pass_insertion(self, arch, dense_snn):
-        seen = {}
+    def test_optimize_noc_trace_order(self, arch, dense_snn):
+        compiled = ir_compile(dense_snn, arch, optimize_noc=True)
+        assert [record.name for record in compiled.trace] == NOC_STEPS
 
-        def spy(ctx):
-            seen["cores"] = ctx.require("logical").n_cores
-            return "spied"
-
-        pipeline = default_pipeline().insert_after(
-            "logical-map",
-            FunctionPass("spy", spy, requires=("logical",)))
-        compiled = ir_compile(dense_snn, arch, pipeline=pipeline)
-        assert seen["cores"] == compiled.logical.n_cores
-        assert "spy" in [record.name for record in compiled.trace]
-
-    def test_replace_and_without(self):
-        pipeline = default_pipeline()
-        shorter = pipeline.without("emit-program")
-        assert "emit-program" not in shorter.names()
-        swapped = pipeline.replace(
-            "emit-program", FunctionPass("emit-program", lambda ctx: None))
-        assert swapped.names() == pipeline.names()
-
-    def test_duplicate_pass_names_rejected(self):
-        with pytest.raises(PassError, match="duplicate"):
-            PassManager([FunctionPass("x", lambda ctx: None),
-                         FunctionPass("x", lambda ctx: None)])
-
-    def test_pipeline_by_names(self, arch, dense_snn):
-        compiled = ir_compile(dense_snn, arch,
-                              pipeline=["graph-build", "logical-map"])
-        assert compiled.logical is not None
+    @pytest.mark.parametrize("optimize_noc", [False, True])
+    def test_materialize_false_stops_before_emit_program(self, arch, dense_snn,
+                                                         optimize_noc):
+        compiled = ir_compile(dense_snn, arch, optimize_noc=optimize_noc,
+                              materialize=False)
+        steps = NOC_STEPS if optimize_noc else DEFAULT_STEPS
+        assert [record.name for record in compiled.trace] == \
+            [name for name in steps if name != "emit-program"]
         assert compiled.program is None
+        assert "cores" in compiled.describe()
+        assert compiled.routes.wave_count() > 0
+        full = ir_compile(dense_snn, arch, optimize_noc=optimize_noc)
+        assert compiled.timing.as_dict() == full.timing.as_dict()
 
 
 class TestPipelineEquivalence:
@@ -120,13 +96,6 @@ class TestPipelineEquivalence:
         np.testing.assert_array_equal(abstract.spike_counts,
                                       hardware.spike_counts)
 
-    def test_schedule_target_runs_engine_passes(self, arch, dense_snn):
-        compiled = ir_compile(dense_snn, arch, to="schedule")
-        assert compiled.schedule is not None
-        assert compiled.schedule.optimized
-        assert [record.name for record in compiled.trace][-2:] == \
-            ["lower", "optimize"]
-
 
 class TestPerPassInvariants:
     def test_validate_mode_runs_clean_on_dag(self, arch, dag_graph):
@@ -134,32 +103,22 @@ class TestPerPassInvariants:
         assert compiled.program is not None
 
     def test_placement_invariant_catches_missing_cores(self, arch, dense_snn):
-        from repro.ir import build_pass
-        from repro.mapping import MappingError
-
-        ctx = CompileContext(arch, network=dense_snn)
-        build_pipeline(["graph-build", "logical-map", "placement"]).run(ctx)
-        placement = ctx.require("placement")
+        compiled = ir_compile(dense_snn, arch)
+        placement = compiled.placement
         victim = next(iter(placement.positions))
         del placement.positions[victim]
         with pytest.raises(MappingError, match="covers"):
-            build_pass("placement").verify(ctx)
+            check_placement(compiled.logical, placement)
 
     def test_route_pack_invariant_checks_wave_conflicts(self, arch, dense_snn):
-        from repro.ir import build_pass
-        from repro.mapping import MappingError
-
-        ctx = CompileContext(arch, network=dense_snn)
-        build_pipeline(["graph-build", "logical-map", "placement",
-                        "route-pack"]).run(ctx)
-        routes = ctx.require("routes")
-        waves = list(routes.all_waves())
+        compiled = ir_compile(dense_snn, arch)
+        waves = list(compiled.routes.all_waves())
         assert waves, "fixture should route at least one wave"
         # duplicate a transfer inside one wave: same links, same steps
         victim = next(wave for wave in waves if wave.transfers)
         victim.transfers.append(victim.transfers[0])
         with pytest.raises(MappingError, match="used twice"):
-            build_pass("route-pack").verify(ctx)
+            verify_waves(waves)
 
 
 class TestDagCompilation:
@@ -197,6 +156,15 @@ class TestDagCompilation:
                                       hardware.spike_counts)
         assert_backend_parity(compiled.program, trains,
                               backends=("reference", "vectorized", "sharded"))
+
+    def test_concat_node_has_no_activity_entry(self, dag_graph, rng):
+        """A concat only rewires its producers' spikes: activity is reported
+        for the input and the fire nodes, so nothing is counted twice."""
+        trains = deterministic_encode(rng.random((3, dag_graph.input_size)),
+                                      dag_graph.timesteps)
+        result = GraphSnnRunner(dag_graph).run_spike_trains(trains)
+        assert set(result.layer_activity) == \
+            {"input", "branch_a", "branch_b", "head", "skip_add"}
 
     def test_fan_out_to_multiple_consumers(self, arch, rng):
         """One producer feeding three consumers (fan-out) compiles and runs."""

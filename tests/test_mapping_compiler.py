@@ -18,10 +18,10 @@ from repro.snn.encoding import deterministic_encode, poisson_encode
 from repro.snn.spec import DenseSpec
 
 
-def _run_both(snn, arch, inputs, wave_packing=True, rows=None):
+def _run_both(snn, arch, inputs, rows=None):
     trains = deterministic_encode(inputs, snn.timesteps)
     reference = GraphSnnRunner(snn).run_spike_trains(trains, return_output_trains=True)
-    compiled = ir_compile(snn, arch, rows=rows, wave_packing=wave_packing)
+    compiled = ir_compile(snn, arch, rows=rows)
     simulator = ShenjingSimulator(compiled.program)
     hardware = simulator.run(trains)
     return reference, hardware, compiled, simulator
@@ -53,17 +53,6 @@ class TestLosslessMapping:
         compiled = ir_compile(dense_snn, arch)
         hardware = ShenjingSimulator(compiled.program).run(trains)
         np.testing.assert_array_equal(reference.spike_counts, hardware.spike_counts)
-
-    def test_wave_packing_does_not_change_results(self, arch, dense_snn, dense_inputs):
-        _, packed, _, _ = _run_both(dense_snn, arch, dense_inputs, wave_packing=True)
-        _, serial, _, _ = _run_both(dense_snn, arch, dense_inputs, wave_packing=False)
-        np.testing.assert_array_equal(packed.spike_counts, serial.spike_counts)
-
-    def test_wave_packing_shortens_the_schedule(self, conv_arch, conv_snn):
-        packed = ir_compile(conv_snn, conv_arch, wave_packing=True)
-        serial = ir_compile(conv_snn, conv_arch, wave_packing=False)
-        assert (packed.program.cycles_per_timestep()
-                <= serial.program.cycles_per_timestep())
 
     def test_single_core_network(self, arch, rng):
         snn = LayerGraph.chain(

@@ -14,7 +14,6 @@ from repro.mapping.routing import (
     Transfer,
     pack_waves,
     route_length,
-    serial_waves,
     total_hop_count,
     xy_route,
 )
@@ -87,10 +86,6 @@ class TestWavePacking:
         assert len(lengths) == 1
         waves = pack_waves(transfers)
         assert len(waves) == 2
-
-    def test_serial_waves_one_per_transfer(self):
-        transfers = self._transfers([((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1))])
-        assert len(serial_waves(transfers)) == 3
 
     def test_packing_preserves_all_transfers(self):
         rng = np.random.default_rng(0)

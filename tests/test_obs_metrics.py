@@ -29,7 +29,6 @@ from repro.obs import (
     MetricsRegistry,
     ProbeSet,
     Trace,
-    absorb_pass_records,
     absorb_resilience,
     render_openmetrics,
     span,
@@ -241,10 +240,10 @@ class TestProfileHelpers:
         assert watch.seconds >= 0
 
     def test_absorb_pass_records_lays_compile_track(self):
+        # compile(metrics=) folds each step's pass record into the registry
         registry = MetricsRegistry()
         graph, _ = seeded_benchmark_graph("mnist-mlp-small", 3)
-        compiled = ir_compile(graph, DEFAULT_ARCH)
-        absorb_pass_records(registry, compiled.trace)
+        compiled = ir_compile(graph, DEFAULT_ARCH, metrics=registry)
         spans = [s for s in registry.spans if s.track == "compile"]
         assert len(spans) == len(compiled.trace)
         # sequential: each span starts where the previous one ended
@@ -272,9 +271,9 @@ def test_compile_mirrors_pass_records_into_metrics():
     registry = MetricsRegistry()
     graph, _ = seeded_benchmark_graph("mnist-mlp-small", 3)
     compiled = ir_compile(graph, DEFAULT_ARCH, metrics=registry)
-    compile_spans = {s.name for s in registry.spans if s.track == "compile"}
-    assert compile_spans == {
-        "compile/" + record.name for record in compiled.trace}
+    spans = [s for s in registry.spans if s.track == "compile"]
+    assert [s.name for s in spans] == [
+        "compile/" + record.name for record in compiled.trace]
     for record in compiled.trace:
         hist = registry.histograms["compile/" + record.name]
         assert hist.count == 1

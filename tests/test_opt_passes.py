@@ -1,68 +1,25 @@
-"""Tests of the repro.opt passes: registration, ordering and behaviour.
+"""Tests of the repro.opt NoC optimizations and their place in compile.
 
-Covers the pass-framework integration (registry names, requires/provides
-enforcement, pipeline surgery), the placement search (validity, cost
-monotonicity, determinism), the multicast chain builder (merging, eject
-bookkeeping, reversal splitting, target caps) and the reduction-tree
-scheduler (round counts, payload flags, bit-identical sums).
+Covers the placement search (validity, cost monotonicity, determinism),
+the multicast chain builder (merging, eject bookkeeping, reversal
+splitting, target caps), the reduction-tree scheduler (round counts,
+payload flags, bit-identical sums) and ``compile(..., optimize_noc=True)``
+under ``validate``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.tile import TileCoordinate
-from repro.ir import (
-    PASS_REGISTRY,
-    CompileContext,
-    PassError,
-    build_pass,
-    compile as ir_compile,
-    default_pipeline,
-)
+from repro.ir import compile as ir_compile
 from repro.mapping.placement import Placement
 from repro.mapping.routing import Transfer, pack_waves, verify_waves
 from repro.opt import (
-    OPT_PASSES,
     MulticastDelivery,
     TreeReduction,
     build_traffic_model,
     optimize_placement,
-    optimized_pipeline,
-    plan_metrics,
 )
-
-
-class TestPassRegistration:
-    def test_all_opt_passes_registered(self):
-        for name in OPT_PASSES:
-            assert name in PASS_REGISTRY
-            assert build_pass(name).name == name
-
-    def test_optimized_pipeline_order(self):
-        names = optimized_pipeline().names()
-        assert names == [
-            "graph-build", "logical-map", "placement",
-            "congestion-placement", "multicast-delivery", "reduction-tree",
-            "route-pack", "emit-program", "timing-model",
-        ]
-
-    def test_optimized_schedule_pipeline_appends_engine_passes(self):
-        names = optimized_pipeline(to="schedule").names()
-        assert names[-2:] == ["lower", "optimize"]
-
-    def test_requires_enforced_without_placement(self, arch):
-        from repro.ir import PassManager
-
-        ctx = CompileContext(arch)
-        manager = PassManager([build_pass("congestion-placement")])
-        with pytest.raises(PassError, match="logical"):
-            manager.run(ctx)
-
-    def test_default_pipeline_untouched(self):
-        assert default_pipeline().names() == [
-            "graph-build", "logical-map", "placement", "route-pack",
-            "emit-program", "timing-model",
-        ]
 
 
 class TestCongestionPlacement:
@@ -225,28 +182,9 @@ class TestTreeReduction:
 
 
 class TestPipelineIntegration:
-    def test_optimize_noc_equals_explicit_pipeline(self, dense_snn, arch):
-        via_flag = ir_compile(dense_snn, arch, optimize_noc=True)
-        via_pipeline = ir_compile(dense_snn, arch,
-                                  pipeline=optimized_pipeline())
-        assert plan_metrics(via_flag.routes).as_dict() == \
-            plan_metrics(via_pipeline.routes).as_dict()
-
-    def test_noc_options_reach_the_passes(self, dense_snn, arch):
-        capped = ir_compile(dense_snn, arch, optimize_noc=True,
-                            noc_options={"multicast_max_targets": 2,
-                                         "noc_placement_iterations": 10,
-                                         "noc_seed": 3})
-        for wave in capped.routes.all_waves():
-            for transfer in wave.transfers:
-                assert len(transfer.via) + 1 <= 2
-        trace = {record.name: record.summary for record in capped.trace}
-        assert "chains capped at 2 targets" in trace["multicast-delivery"]
-        assert "/10 moves" in trace["congestion-placement"]
-
     def test_validate_runs_opt_invariants(self, dense_snn, arch):
         compiled = ir_compile(dense_snn, arch, optimize_noc=True,
                               validate=True)
         assert compiled.program is not None
         names = [record.name for record in compiled.trace]
-        assert names[3:6] == list(OPT_PASSES)
+        assert names[2:4] == ["placement", "congestion-placement"]

@@ -222,6 +222,6 @@ class TestArtifactCache:
     def test_pipeline_options_are_part_of_the_key(self):
         network = make_network(4)
         plain = artifact_key(network, DEFAULT_ARCH)
-        packed = artifact_key(network, DEFAULT_ARCH, wave_packing=False)
-        assert plain != packed
+        optimized = artifact_key(network, DEFAULT_ARCH, optimize_noc=True)
+        assert plain != optimized
         assert plain == artifact_key(make_network(4), DEFAULT_ARCH)

@@ -19,7 +19,6 @@ from repro.timing import (
     TimingEstimate,
     relative_error,
     serialization_lower_bound,
-    time_compiled,
     time_program,
     time_route_plan,
     time_wave,
@@ -127,14 +126,6 @@ class TestCompiledNetworkTiming:
             compiled.timing.cycles_per_timestep
         assert from_program.per_layer() == compiled.timing.per_layer()
 
-    def test_time_compiled_prefers_cached_estimate(self, dense_snn, arch):
-        compiled = ir_compile(dense_snn, arch)
-        assert time_compiled(compiled) is compiled.timing
-        compiled.timing = None
-        rebuilt = time_compiled(compiled)
-        assert rebuilt.cycles_per_timestep == \
-            compiled.program.cycles_per_timestep()
-
     def test_route_plan_without_timesteps_requires_them(self, dense_snn, arch):
         compiled = ir_compile(dense_snn, arch)
         timing = time_route_plan(compiled.routes, arch, name="x")
@@ -159,15 +150,13 @@ class TestCompiledNetworkTiming:
         assert "cycles/timestep" in timing.describe()
 
     def test_timing_pass_invariant_catches_drift(self, dense_snn, arch):
-        from repro.ir import CompileContext, build_pass, build_pipeline
+        from repro.ir.pipeline import check_timing
         from repro.mapping import MappingError
 
-        ctx = CompileContext(arch, network=dense_snn)
-        build_pipeline(["graph-build", "logical-map", "placement",
-                        "route-pack", "emit-program", "timing-model"]).run(ctx)
-        ctx.require("timing").layers[0].fire_cycles += 1  # corrupt the model
+        compiled = ir_compile(dense_snn, arch)
+        compiled.timing.layers[0].fire_cycles += 1  # corrupt the model
         with pytest.raises(MappingError, match="timing model"):
-            build_pass("timing-model").verify(ctx)
+            check_timing(compiled.timing, compiled.program)
 
 
 class TestEstimatorDelegation:
@@ -197,6 +186,18 @@ class TestEstimatorDelegation:
         assert estimate.cycle_source == "waves"
         assert estimate.cycles_per_timestep == \
             compiled.timing.cycles_per_timestep
+
+
+class TestCommandLine:
+    def test_optimized_prints_both_breakdowns(self, capsys):
+        from repro.timing.__main__ import main
+
+        assert main(["mnist-mlp-small", "--optimized"]) == 0
+        out = capsys.readouterr().out
+        assert "--- default pipeline ---" in out
+        assert "--- optimized pipeline ---" in out
+        assert out.count("cycles/frame (4 timesteps): ") == 2
+        assert "optimized vs default: " in out
 
 
 class TestRelativeError:

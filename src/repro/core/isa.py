@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 
 class IsaError(ValueError):
     """Raised on malformed atomic operations or undecodable signal words."""
@@ -123,10 +125,15 @@ def normalise_lanes(lanes: Optional[Iterable[int]]) -> LaneSet:
     """Normalise a lane selection: ``None`` means *all* lanes."""
     if lanes is None:
         return None
-    lane_set = frozenset(int(lane) for lane in lanes)
+    if type(lanes) is frozenset and set(map(type, lanes)) <= {int}:
+        lane_set = lanes  # already normalised, e.g. a Transfer's lanes
+    elif isinstance(lanes, np.ndarray) and lanes.ndim == 1 and lanes.dtype.kind in "iu":
+        lane_set = frozenset(lanes.tolist())
+    else:
+        lane_set = frozenset(map(int, lanes))
     if not lane_set:
         raise IsaError("lane set must not be empty; use None for all lanes")
-    if any(lane < 0 for lane in lane_set):
+    if min(lane_set) < 0:
         raise IsaError("lane indices must be non-negative")
     return lane_set
 

@@ -40,7 +40,8 @@ def lane_indices(lanes: LaneSet, width: int) -> np.ndarray:
     """Convert a lane set into a sorted numpy index array (``None`` = all)."""
     if lanes is None:
         return np.arange(width)
-    indices = np.fromiter(sorted(lanes), dtype=np.int64)
+    indices = np.fromiter(lanes, dtype=np.int64)
+    indices.sort()
     if indices.size and (indices[0] < 0 or indices[-1] >= width):
         raise IsaError(f"lane index out of range for width {width}")
     return indices

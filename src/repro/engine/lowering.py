@@ -73,8 +73,12 @@ def weight_bounds(weights: np.ndarray) -> Tuple[int, int]:
     w = np.asarray(weights, dtype=np.int64)
     if w.size == 0:
         return 0, 0
-    lo = int(np.minimum(w, 0).sum(axis=0, dtype=np.int64).min())
-    hi = int(np.maximum(w, 0).sum(axis=0, dtype=np.int64).max())
+    # w - |w| is twice a weight's negative part and w + |w| twice its
+    # positive part, so two column sums give both per-lane extremes
+    total = w.sum(axis=0)
+    magnitude = np.abs(w).sum(axis=0)
+    lo = int((total - magnitude).min()) // 2
+    hi = int((total + magnitude).max()) // 2
     return min(lo, 0), max(hi, 0)
 
 
@@ -784,8 +788,9 @@ class _Lowerer:
         reg, packet_lanes = self.take_latch(tile, src, net)
         if lanes is None:
             return reg, packet_lanes
-        idx = self.op_lane_indices(lanes)
-        keep = packet_lanes[np.isin(packet_lanes, idx)]
+        selected = np.zeros(self.width, dtype=bool)
+        selected[self.op_lane_indices(lanes)] = True
+        keep = packet_lanes[selected[packet_lanes]]
         reg_out = self.new_reg(net)
         self.ops.append(FilterPacket(reg, reg_out, keep))
         return reg_out, keep

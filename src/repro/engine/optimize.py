@@ -118,7 +118,6 @@ from .lowering import (
     PsAdd,
     core_overflow_error,
     router_overflow_error,
-    weight_bounds,
 )
 
 #: a precomputed lane selector: an index array or (when contiguous) a slice
@@ -150,9 +149,10 @@ class FusedAccumulate(LoweredOp):
     place.  The other columns stay 0: their weights are all zero and ACC is
     the only op that writes ``local_ps``.  Exact because every partial sum
     lies within ``±2**24`` (checked by the optimizer before it rewrites).
-    The overflow scan is elided when
-    :func:`~repro.engine.lowering.weight_bounds` of the full matrix proves
-    it cannot fire.  The axons come from slot ``src_slot``: the core's own,
+    The overflow scan is elided when ``bounds``, the
+    :func:`~repro.engine.lowering.weight_bounds` of the full matrix that the
+    replaced ``Accumulate`` already holds, proves it cannot fire.  The
+    axons come from slot ``src_slot``: the core's own,
     unless the optimizer lets it share another core's identical buffer.
     """
 
@@ -160,7 +160,7 @@ class FusedAccumulate(LoweredOp):
                  "ps_max", "where", "bounds", "check")
 
     def __init__(self, slot: int, weights: np.ndarray, ps_min: int, ps_max: int,
-                 where: str):
+                 where: str, bounds: Tuple[int, int]):
         self.slot = slot
         self.src_slot = slot
         weights = np.asarray(weights)
@@ -170,7 +170,7 @@ class FusedAccumulate(LoweredOp):
         self.ps_min = ps_min
         self.ps_max = ps_max
         self.where = where
-        self.bounds = weight_bounds(weights)
+        self.bounds = bounds
         self.check = not (ps_min <= self.bounds[0] and self.bounds[1] <= ps_max)
 
     def run(self, st) -> None:
@@ -507,7 +507,7 @@ def _is_subset(inner: Selector, outer: Selector) -> bool:
         return True
     if isinstance(outer, slice):
         return bool(inner_idx.min() >= outer.start and inner_idx.max() < outer.stop)
-    return bool(np.isin(inner_idx, np.asarray(outer)).all())
+    return set(inner_idx.tolist()).issubset(np.asarray(outer).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -1061,7 +1061,7 @@ def _fuse_accumulates(ops: List[LoweredOp]) -> List[LoweredOp]:
             bound = magnitude * weights.shape[0]
             if bound <= _EXACT_F32_BOUND:
                 rewritten.append(FusedAccumulate(op.slot, weights, op.ps_min,
-                                                 op.ps_max, op.where))
+                                                 op.ps_max, op.where, op.bounds))
                 continue
         rewritten.append(op)
     return rewritten

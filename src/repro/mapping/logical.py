@@ -169,8 +169,8 @@ class LogicalLayer:
         locations: Dict[int, Tuple[int, int]] = {}
         for group in self.groups:
             head = self.core_by_index(group.head)
-            for lane in group.lanes:
-                output = int(head.lane_outputs[lane])
+            outputs = head.lane_outputs[group.lanes].tolist()
+            for lane, output in zip(group.lanes.tolist(), outputs):
                 if output < 0:
                     raise MappingError(
                         f"layer {self.name}: head core {group.head} lane {lane} "
@@ -180,7 +180,7 @@ class LogicalLayer:
                     raise MappingError(
                         f"layer {self.name}: output {output} produced twice"
                     )
-                locations[output] = (group.head, int(lane))
+                locations[output] = (group.head, lane)
         return locations
 
     def validate(self, arch: ArchitectureConfig) -> None:

@@ -91,13 +91,14 @@ def compare_noc_pipelines(network, arch, rows: Optional[int] = None
     NoC optimizations is surfaced next to the raw wave metrics.  Used by the
     benchmark harness and the acceptance tests; compiles the network twice
     (the mapping is re-built, so the two compiles never share mutable
-    state).
+    state), without materialising weights or emitting a program: routes
+    and timing come from the packed waves alone.
     """
     from ..ir.pipeline import compile as ir_compile
 
     def metrics_for(optimize: bool) -> Dict[str, object]:
         compiled = ir_compile(network, arch, rows=rows,
-                              optimize_noc=optimize)
+                              optimize_noc=optimize, materialize=False)
         row = plan_metrics(compiled.routes).as_dict()
         row["estimated_cycles_per_timestep"] = \
             compiled.timing.cycles_per_timestep

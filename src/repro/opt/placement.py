@@ -26,7 +26,6 @@ import numpy as np
 from ..core.tile import TileCoordinate
 from ..mapping.logical import LogicalNetwork
 from ..mapping.placement import Placement
-from ..mapping.routing import route_length
 from .cost import TrafficModel, build_traffic_model, core_adjacency, placement_cost
 
 #: default move budget per core (capped by MAX_ITERATIONS)
@@ -74,26 +73,44 @@ def optimize_placement(logical: LogicalNetwork, placement: Placement,
     kept, and the input itself is the starting incumbent).
     """
     model = model or build_traffic_model(logical)
-    adjacency = core_adjacency(model)
-    positions: Dict[int, TileCoordinate] = dict(placement.positions)
-    cores = sorted(positions)
-    occupied = set(positions.values())
+    cores = sorted(placement.positions)
+    occupied = set(placement.positions.values())
     free_tiles: List[TileCoordinate] = [
         TileCoordinate(row, col)
         for row in range(placement.rows)
         for col in range(placement.cols)
         if TileCoordinate(row, col) not in occupied
     ]
+    # Positions as flat row / column lists indexed by core, and each core's
+    # traffic edges as one tuple: the move loop below reads them ~30 times
+    # per move, tens of thousands of moves per compile.
+    size = max(cores, default=-1) + 1
+    rows: List[int] = [0] * size
+    cols: List[int] = [0] * size
+    for core, tile in placement.positions.items():
+        rows[core], cols[core] = tile.row, tile.col
+    neighbours: List[Tuple[Tuple[int, float], ...]] = [()] * size
+    for core, edges in core_adjacency(model).items():
+        neighbours[core] = tuple(edges)
 
-    def attached_cost(core: int) -> float:
-        tile = positions[core]
-        return sum(weight * route_length(tile, positions[other])
-                   for other, weight in adjacency.get(core, ()))
+    def move_delta(core: int, row: int, col: int,
+                   partner: Optional[int]) -> float:
+        """Cost change of moving ``core`` to ``(row, col)``, its neighbours
+        staying put (``partner``, the core it swaps with, is skipped)."""
+        from_row, from_col = rows[core], cols[core]
+        delta = 0.0
+        for other, weight in neighbours[core]:
+            if other != partner and other != core:
+                other_row, other_col = rows[other], cols[other]
+                delta += weight * (abs(row - other_row) + abs(col - other_col)
+                                   - abs(from_row - other_row)
+                                   - abs(from_col - other_col))
+        return delta
 
-    initial_cost = placement_cost(model, positions)
+    initial_cost = placement_cost(model, placement.positions)
     cost = initial_cost
     best_cost = cost
-    best_positions = dict(positions)
+    best_rows, best_cols = rows[:], cols[:]
 
     if iterations is None:
         iterations = min(MAX_ITERATIONS, ITERATIONS_PER_CORE * len(cores))
@@ -108,43 +125,43 @@ def optimize_placement(logical: LogicalNetwork, placement: Placement,
         core_a = cores[int(rng.integers(len(cores)))]
         move_to_free = free_tiles and rng.random() < 0.25
         if move_to_free:
-            tile_b = free_tiles[int(rng.integers(len(free_tiles)))]
+            free_index = int(rng.integers(len(free_tiles)))
+            tile_b = free_tiles[free_index]
+            row_b, col_b = tile_b.row, tile_b.col
             core_b = None
         else:
             core_b = cores[int(rng.integers(len(cores)))]
             if core_b == core_a:
                 temperature *= cooling
                 continue
-            tile_b = positions[core_b]
-        tile_a = positions[core_a]
+            row_b, col_b = rows[core_b], cols[core_b]
+        row_a, col_a = rows[core_a], cols[core_a]
 
-        before = attached_cost(core_a)
+        # The cost change of the move, summed per neighbour.  Every term is
+        # an edge weight (1.0 or REDUCTION_EDGE_WEIGHT) times an integer hop
+        # count, so the sum is exact in floating point in any order, and
+        # equals the difference of the cost after and before the move.  An
+        # edge between the swapped cores (or of a core with itself) keeps
+        # its length, so it adds nothing and is skipped.
+        delta = move_delta(core_a, row_b, col_b, core_b)
         if core_b is not None:
-            before += attached_cost(core_b)
-            # the a<->b edge (if any) is counted twice on both sides and its
-            # length is swap-invariant, so the double-count cancels in delta
-        positions[core_a] = tile_b
-        if core_b is not None:
-            positions[core_b] = tile_a
-        after = attached_cost(core_a)
-        if core_b is not None:
-            after += attached_cost(core_b)
-        delta = after - before
+            delta += move_delta(core_b, row_a, col_a, core_a)
 
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
             accepted += 1
             cost += delta
+            rows[core_a], cols[core_a] = row_b, col_b
             if core_b is None:
-                free_tiles[free_tiles.index(tile_b)] = tile_a
+                free_tiles[free_index] = TileCoordinate(row_a, col_a)
+            else:
+                rows[core_b], cols[core_b] = row_a, col_a
             if cost < best_cost:
                 best_cost = cost
-                best_positions = dict(positions)
-        else:
-            positions[core_a] = tile_a
-            if core_b is not None:
-                positions[core_b] = tile_b
+                best_rows, best_cols = rows[:], cols[:]
         temperature *= cooling
 
+    best_positions = {core: TileCoordinate(best_rows[core], best_cols[core])
+                      for core in placement.positions}
     refined = Placement(
         arch=placement.arch,
         positions=best_positions,

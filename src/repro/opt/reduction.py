@@ -58,7 +58,7 @@ class TreeReduction:
             key=lambda core: (route_length(placement.position(core), head_tile),
                               core),
         )
-        lanes = frozenset(int(lane) for lane in group.lanes)
+        lanes = frozenset(group.lanes.tolist())
         received: Dict[int, bool] = {core: False for core in survivors}
         rounds: List[List[Transfer]] = []
         while len(survivors) > 1:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.isa import (
     CoreAccumulate,
     Direction,
+    SpikeBypass,
     SpikeFire,
     SpikeReceive,
     SpikeSend,
@@ -26,6 +27,7 @@ from repro.engine import (
     register_backend,
     run,
 )
+from repro.engine.lowering import Eject, FilterPacket
 from repro.ir import compile as ir_compile
 from repro.mapping.program import (
     InputBinding,
@@ -192,6 +194,28 @@ class TestLowering:
             TileCoordinate(0, 0), SpikeReceive(src=Direction.EAST))
         with pytest.raises(LoweringError, match="no spike packet"):
             lower_program(program)
+
+    def test_partial_bypass_filters_to_the_overlap(self, arch):
+        """A BYPASS whose lanes only partly overlap its packet forwards the
+        intersection, in packet order, and a second BYPASS narrows it again."""
+        weights = np.ones((arch.core_inputs, arch.core_neurons), dtype=np.int16)
+        program = _single_core_program(arch, weights)
+        route = program.new_phase("route")
+        route.new_group().add(TileCoordinate(0, 0), SpikeSend(
+            dst=Direction.EAST, lanes=[1, 3, 5, 7, 9]))
+        route.new_group().add(TileCoordinate(0, 1), SpikeBypass(
+            src=Direction.WEST, dst=Direction.SOUTH, lanes=[0, 3, 4, 9, 5]))
+        route.new_group().add(TileCoordinate(1, 1), SpikeBypass(
+            src=Direction.NORTH, dst=Direction.WEST, lanes=[9, 11, 3]))
+        route.new_group().add(TileCoordinate(1, 0), SpikeReceive(
+            src=Direction.EAST))
+        schedule = lower_program(program)
+        filters = [op for op in schedule.ops if isinstance(op, FilterPacket)]
+        assert [op.idx.tolist() for op in filters] == [[3, 5, 9], [3, 9]]
+        assert filters[1].reg_in == filters[0].reg_out
+        (eject,) = [op for op in schedule.ops if isinstance(op, Eject)]
+        assert eject.reg == filters[1].reg_out
+        assert eject.lanes.tolist() == [3, 9]
 
     def test_conflicting_sends_rejected(self, arch):
         weights = np.ones((arch.core_inputs, arch.core_neurons), dtype=np.int16)

@@ -1,5 +1,6 @@
 """Tests for the atomic-operation ISA (Table I encoding/decoding)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,14 +76,28 @@ class TestLaneSets:
     def test_normalises_to_frozenset(self):
         lanes = normalise_lanes([3, 1, 1, 2])
         assert lanes == frozenset({1, 2, 3})
+        # arrays, numpy scalars and already-built sets normalise alike, to a
+        # frozenset of Python ints
+        for given in (frozenset({1, 2, 3}), np.array([3, 1, 1, 2]),
+                      np.array([3, 1, 2], dtype=np.uint8),
+                      [np.int64(3), np.int32(1), np.int16(2)],
+                      frozenset({np.int64(1), np.int64(2), np.int64(3)}),
+                      np.array([3.0, 1.0, 2.0]), (True, 2, 3)):
+            lanes = normalise_lanes(given)
+            assert lanes == frozenset({1, 2, 3})
+            assert type(lanes) is frozenset
+            assert all(type(lane) is int for lane in lanes)
 
     def test_rejects_empty(self):
-        with pytest.raises(IsaError):
-            normalise_lanes([])
+        for lanes in ([], frozenset(), (), np.array([], dtype=np.int64)):
+            with pytest.raises(IsaError, match="must not be empty"):
+                normalise_lanes(lanes)
 
     def test_rejects_negative(self):
-        with pytest.raises(IsaError):
-            normalise_lanes([-1, 0])
+        for lanes in ([-1, 0], frozenset({-1, 0}), np.array([0, -1]),
+                      [np.int64(-1)], np.array([2.0, -1.0])):
+            with pytest.raises(IsaError, match="non-negative"):
+                normalise_lanes(lanes)
 
 
 def _all_ops():

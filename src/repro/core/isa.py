@@ -25,8 +25,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 
 class IsaError(ValueError):
     """Raised on malformed atomic operations or undecodable signal words."""
@@ -127,8 +125,6 @@ def normalise_lanes(lanes: Optional[Iterable[int]]) -> LaneSet:
         return None
     if type(lanes) is frozenset and set(map(type, lanes)) <= {int}:
         lane_set = lanes  # already normalised, e.g. a Transfer's lanes
-    elif isinstance(lanes, np.ndarray) and lanes.ndim == 1 and lanes.dtype.kind in "iu":
-        lane_set = frozenset(lanes.tolist())
     else:
         lane_set = frozenset(map(int, lanes))
     if not lane_set:

@@ -170,8 +170,9 @@ def optimize_placement(logical: LogicalNetwork, placement: Placement,
         layer_columns=_layer_columns(logical, best_positions),
     )
     refined.validate()
-    # re-derive the exact cost of the returned assignment (the incremental
-    # accumulator can drift by float rounding over many accepted moves)
+    # recompute the cost of the returned assignment from scratch: a cheap
+    # check that it is the true cost of ``best_positions``, independent of
+    # the move loop's bookkeeping
     final_cost = placement_cost(model, best_positions)
     return PlacementSearchResult(
         placement=refined,

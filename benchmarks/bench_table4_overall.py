@@ -10,7 +10,8 @@ exactly the same toolchain as the full-scale run.
 Absolute accuracies differ from the paper (synthetic datasets, short
 training); the shape that must hold — ANN >= abstract SNN == mapped SNN, and
 cores/power/energy growing from MLP to CNN to CIFAR CNN to ResNet — is
-asserted below and recorded in EXPERIMENTS.md.
+asserted below; ``pytest benchmarks/bench_table4_overall.py -s`` prints the
+rows.
 """
 
 import pytest

@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one table or figure of the paper (see
-DESIGN.md section 4).  Benchmarks print the regenerated rows/series so that
-``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment log; the
-numeric comparisons against the paper are recorded in EXPERIMENTS.md.
+Every benchmark module regenerates one table or figure of the paper.
+Benchmarks print the regenerated rows/series so that
+``pytest benchmarks/ -s`` doubles as the experiment log; each module
+asserts the comparisons against the paper that must hold, next to the
+paper's figures it quotes.
 """
 
 from __future__ import annotations

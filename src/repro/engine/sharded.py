@@ -5,7 +5,9 @@ vectorizes.  The lowered (and optimized) schedule is *static picklable
 state* — numpy arrays, slices and plain attributes — so it ships to worker
 processes once, and each worker runs a contiguous shard of the batch's frame
 axis through exactly the same executor the ``vectorized`` backend uses
-(:func:`repro.engine.vectorized.execute_schedule`).
+(:func:`repro.engine.vectorized.execute_schedule`).  A shard's spike trains
+travel bit-packed, eight inputs a byte, and each worker keeps its run state
+for its next shard of the same frame count.
 
 The worker pool is **persistent**: it is forked lazily on the first run that
 actually shards and then kept alive across repeated
@@ -189,22 +191,26 @@ def _worker_init(payload: bytes, workers: int,
 
 
 def _worker_run(task):
-    """Run one shard: ``(index, attempt, shard, probe_set, want_metrics)`` ->
-    ``(index, counts, active_axons, probe_result, metrics_snapshot)``.
+    """Run one shard: ``(index, attempt, packed, probe_set, want_metrics)``
+    -> ``(index, counts, active_axons, probe_result, metrics_snapshot)``.
 
-    ``attempt`` gates fault injection (a fault listed for attempt 0 does not
-    refire on the supervised retry), and the optional
-    :class:`~repro.obs.ProbeSet` — a small frozen dataclass, picklable with
-    the task — is resolved worker-side so each shard returns its own
-    :class:`~repro.obs.ProbeResult` for the parent's deterministic
+    ``packed`` is the shard's spike trains bit-packed along the input axis
+    (:meth:`ShardedBackend._shard_pieces`); the worker unpacks it to the
+    program's input size.  ``attempt`` gates fault injection (a fault
+    listed for attempt 0 does not refire on the supervised retry), and the
+    optional :class:`~repro.obs.ProbeSet` — a small frozen dataclass,
+    picklable with the task — is resolved worker-side so each shard returns
+    its own :class:`~repro.obs.ProbeResult` for the parent's deterministic
     frame-axis merge.  When ``want_metrics`` is true, the worker records
     into a local :class:`~repro.obs.MetricsRegistry` and ships a picklable
     snapshot back for the parent's shard-index-ordered merge — exactly the
     ``ExecutionStats`` pattern.  Failed attempts never reach the parent, so
     retried shards contribute their counters exactly once.
     """
-    index, attempt, shard, probe_set, want_metrics = task
+    index, attempt, packed, probe_set, want_metrics = task
     schedule = _WORKER_SCHEDULE
+    shard = np.unpackbits(packed, axis=-1,
+                          count=schedule.program.input_size).view(np.bool_)
     injector = None
     if _WORKER_FAULTS is not None:
         specs = _WORKER_FAULTS.for_shard(index, attempt)
@@ -340,8 +346,11 @@ class ShardedBackend(ExecutionBackend):
             process.join()
 
     def close(self) -> None:
-        """Terminate the worker pool (idempotent; a later run re-forks it)."""
+        """Terminate the worker pool, and with it the workers' kept run
+        states, and free the in-process one (idempotent; a later run
+        re-forks the pool)."""
         self._terminate_pool()
+        self.schedule.drop_state()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
@@ -410,10 +419,11 @@ class ShardedBackend(ExecutionBackend):
 
     def _shard_pieces(self, spike_trains: np.ndarray,
                       shards: int) -> List[np.ndarray]:
-        return [
-            np.ascontiguousarray(piece)
-            for piece in np.array_split(spike_trains, shards, axis=0)
-        ]
+        """The batch as ``shards`` contiguous frame ranges, each bit-packed
+        along the input axis (uint8, eight inputs a byte), as the workers
+        receive them."""
+        return [np.packbits(piece, axis=-1)
+                for piece in np.array_split(spike_trains, shards, axis=0)]
 
     # ------------------------------------------------------------------
     # Supervised execution

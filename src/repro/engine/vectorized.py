@@ -77,7 +77,14 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
     backend's workers.  Returns ``(spike_counts, active_axons)``, the
     latter a per-frame int64 vector of ``ACC`` switching activity (its sum
     is the batch statistic); statistics are reconstructed by the caller via
-    :meth:`LoweredSchedule.build_stats`.
+    :meth:`LoweredSchedule.build_stats`.  Neither aliases the run state.
+
+    The run takes its state from the schedule
+    (:meth:`LoweredSchedule.take_state`) and keeps it there when it
+    returns, so the next run of the same frame count in this process only
+    zeroes the arrays the schedule writes instead of allocating them; a
+    run that raises leaves nothing kept.  The backends' ``close()`` drops
+    the kept state (:meth:`LoweredSchedule.drop_state`).
     ``collector`` is an optional :class:`repro.obs.ScheduleProbeRun` whose
     ``capture`` runs once at the end of every timestep; with ``None`` the
     hot loop is untouched beyond this one check.  ``fault`` is a test-only
@@ -96,12 +103,11 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
     program = schedule.program
     spike_trains = normalise_spike_trains(spike_trains, program.input_size)
     frames, timesteps, _ = spike_trains.shape
-    state = schedule.allocate(frames)
+    state = schedule.take_state(frames)
     counts = np.zeros((frames, program.output_size), dtype=np.int64)
     ops = schedule.ops
     inject_ops = schedule.inject_ops
     outputs = schedule.outputs
-    plan = schedule.clear_plan
     step_hist = None
     sample_limit = 0
     if metrics is not None:
@@ -117,7 +123,7 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
             fault.before_timestep(step)
         if step < sample_limit:
             tick = time.perf_counter()
-        state.begin_timestep(spike_trains[:, step, :], plan)
+        state.begin_timestep(spike_trains[:, step, :])
         for op in inject_ops:
             op.run(state)
         if metrics is not None and step == 0:
@@ -144,7 +150,9 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
             collector.capture(state, step)
         if step < sample_limit:
             step_hist.observe(time.perf_counter() - tick)
-    return counts, state.active_axons
+    active_axons = state.active_axons.copy()
+    schedule.keep_state(state)
+    return counts, active_axons
 
 
 @register_backend
@@ -158,6 +166,10 @@ class VectorizedBackend(ExecutionBackend):
         super().__init__(program, collect_stats=collect_stats)
         self.optimize = optimize
         self.schedule: LoweredSchedule = prepare_schedule(program, optimize)
+
+    def close(self) -> None:
+        """Free the run state the last run kept (idempotent)."""
+        self.schedule.drop_state()
 
     def run(self, spike_trains: np.ndarray,
             probes=None, metrics=None) -> SimulationResult:

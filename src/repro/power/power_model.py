@@ -15,7 +15,8 @@ dominates, and the note that SRAM leakage is 47 % of the CIFAR-10 CNN power
 confirms it is mostly frequency-independent SRAM leakage.  The default
 background power per core is calibrated so the MNIST-MLP operating point
 (10 cores, 40 fps, 120 kHz) reproduces the paper's 1.26–1.35 mW; the value
-and the calibration are recorded in EXPERIMENTS.md.
+is :attr:`PowerModelConfig.background_power_per_core_w`, and
+``tests/test_power.py`` checks the calibration against that operating point.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ statistics) and the ``auto`` policy.
 
 import ctypes
 import os
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,14 +28,19 @@ from repro.engine import (
     run,
     select_backend_name,
 )
+from repro.engine.parity import _compare_probes
 from repro.engine.sharded import (
     BLAS_THREAD_SETTERS,
     MAX_DEFAULT_WORKERS,
     WORKERS_ENV_VAR,
     _openblas_libraries,
 )
+from repro.ir import LayerGraph
 from repro.ir import compile as ir_compile
+from repro.obs import ProbeSet
+from repro.resilience import FaultPlan, RunPolicy
 from repro.snn import deterministic_encode
+from repro.snn.spec import DenseSpec
 
 
 @pytest.fixture
@@ -157,6 +165,25 @@ class TestShardedParity:
         assert result.spike_counts.shape == (frames, dense_program.output_size)
         vectorized = create_backend("vectorized", dense_program).run(trains)
         assert result.stats.summary() == vectorized.stats.summary()
+
+    def test_odd_input_size_ships_packed_bit_exact(self, arch, rng):
+        """Shards travel bit-packed, eight inputs a byte; an input size
+        that is not a multiple of 8 unpacks to exactly its inputs."""
+        graph = LayerGraph.chain("odd", (37,), [
+            DenseSpec(name="fc", weights=rng.integers(-7, 8, size=(37, 6)),
+                      threshold=9)], timesteps=5)
+        program = ir_compile(graph, arch).program
+        trains = rng.random((6, 5, 37)) < 0.4
+        with ShardedBackend(program, workers=2) as backend:
+            pieces = backend._shard_pieces(trains, 2)
+            assert [piece.shape for piece in pieces] == [(3, 5, 5)] * 2
+            assert all(piece.dtype == np.uint8 for piece in pieces)
+            result = backend.run(trains)
+        reference = create_backend("reference", program).run(trains)
+        np.testing.assert_array_equal(result.spike_counts,
+                                      reference.spike_counts)
+        assert result.stats.summary() == reference.stats.summary()
+        assert result.stats.active_axons > 0
 
     def test_collect_stats_false(self, dense_program, dense_snn, dense_inputs):
         trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
@@ -346,6 +373,142 @@ class TestPersistentPool:
         assert delegate.pool_alive
         backend.close()
         assert not delegate.pool_alive
+
+
+def _assert_same_run(result, expected) -> None:
+    np.testing.assert_array_equal(result.spike_counts, expected.spike_counts)
+    np.testing.assert_array_equal(result.frame_active_axons,
+                                  expected.frame_active_axons)
+    assert result.stats.summary() == expected.stats.summary()
+    _compare_probes("kept", "fresh", result, expected)
+
+
+class TestKeptRunState:
+    """A run keeps its state on the schedule for the next run of its frame
+    count; every run still equals a fresh backend's."""
+
+    @staticmethod
+    def _batch(rng, dense_snn, frames):
+        return deterministic_encode(rng.random((frames, dense_snn.input_size)),
+                                    dense_snn.timesteps)
+
+    @pytest.mark.parametrize("name", ["vectorized", "sharded"])
+    def test_run_sequence_matches_fresh_backends(self, dense_program,
+                                                 dense_snn, rng, name):
+        options = {"workers": 2} if name == "sharded" else {}
+        a, b = (self._batch(rng, dense_snn, 12) for _ in range(2))
+        sequence = (a, b, a, self._batch(rng, dense_snn, 7),
+                    self._batch(rng, dense_snn, 32))
+        probes = ProbeSet.full()
+        with create_backend(name, dense_program, **options) as backend:
+            for trains in sequence:
+                result = backend.run(trains, probes=probes)
+                with create_backend(name, dense_program, **options) as fresh:
+                    _assert_same_run(result,
+                                     fresh.run(trains, probes=probes))
+
+    def test_one_state_per_schedule_reused_only_at_its_frame_count(
+            self, dense_program, dense_snn, rng):
+        backend = create_backend("vectorized", dense_program)
+        schedule = backend.schedule
+        backend.run(self._batch(rng, dense_snn, 12))
+        kept = schedule.take_state(12)
+        # taken back reset: every array the schedule writes is zero again
+        assert not kept.active_axons.any()
+        assert not any(array.any() for array in kept.potential + kept.axons)
+        # taking empties the keep, so a concurrent run gets its own state
+        assert schedule.take_state(12) is not kept
+        schedule.keep_state(kept)
+        backend.run(self._batch(rng, dense_snn, 12))
+        assert schedule.take_state(12) is kept
+        schedule.keep_state(kept)
+        # a 7-frame run replaces the kept 12-frame state
+        backend.run(self._batch(rng, dense_snn, 7))
+        assert schedule.take_state(7).batch == 7
+        assert schedule.take_state(12) is not kept
+
+    def test_concurrent_runs_never_share_a_state(self, dense_program,
+                                                 dense_snn, rng):
+        batches = [self._batch(rng, dense_snn, 12) for _ in range(4)]
+        fresh = create_backend("vectorized", dense_program)
+        expected = [fresh.run(trains) for trains in batches]
+        backend = create_backend("vectorized", dense_program)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the runs
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(backend.run, batches * 5,
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 20
+        for result, want in zip(results, expected * 5):
+            _assert_same_run(result, want)
+
+    def test_results_never_alias_the_kept_state(self, dense_program,
+                                                dense_snn, rng):
+        a, b = (self._batch(rng, dense_snn, 12) for _ in range(2))
+        probes = ProbeSet.full()
+        fresh = create_backend("vectorized", dense_program)
+        expected = [fresh.run(trains, probes=probes) for trains in (a, b)]
+        backend = create_backend("vectorized", dense_program)
+        first = backend.run(a, probes=probes)
+        second = backend.run(b, probes=probes)
+        # a later run leaves earlier results alone ...
+        _assert_same_run(first, expected[0])
+        # ... and what a caller does to a result never reaches the next run
+        second.spike_counts[:] = 99
+        second.frame_active_axons[:] = -1
+        for array in second.probes.potentials.values():
+            array[:] = 7
+        _assert_same_run(backend.run(a, probes=probes), expected[0])
+
+    @pytest.mark.parametrize("name", ["vectorized", "sharded"])
+    def test_run_after_overflow_matches_fresh(self, name):
+        program = _overflow_program()
+        options = {"workers": 2} if name == "sharded" else {}
+        # at most two of the four inputs on: every partial sum fits
+        safe = np.random.default_rng(5).random((4, 6, 4)) < 0.6
+        safe[..., 2:] = False
+        with create_backend(name, program, **options) as backend:
+            backend.run(safe)
+            with pytest.raises(NeuronCoreError):
+                backend.run(np.ones((4, 6, 4), dtype=bool))
+            after = backend.run(safe)
+        with create_backend(name, program, **options) as fresh:
+            _assert_same_run(after, fresh.run(safe))
+        assert after.spike_counts.sum() > 0
+
+    def test_run_after_injected_worker_fault_matches_fresh(
+            self, dense_program, dense_snn, rng):
+        """A worker that raises mid-run drops the state it took; the retry
+        and every later run equal a fresh backend's."""
+        policy = RunPolicy(shard_timeout=60.0, max_retries=1, backoff=0.0)
+        faults = FaultPlan.exception(shard=0, timestep=2)
+        a, b = (self._batch(rng, dense_snn, 12) for _ in range(2))
+        fresh = create_backend("vectorized", dense_program)
+        with ShardedBackend(dense_program, workers=2, policy=policy,
+                            faults=faults) as backend:
+            for trains in (a, b, a):
+                result = backend.run(trains)
+                assert result.resilience.count("retry") == 1
+                _assert_same_run(result, fresh.run(trains))
+
+    @pytest.mark.parametrize("name", ["vectorized", "sharded"])
+    def test_state_never_pickled_and_dropped_on_close(self, dense_program,
+                                                      dense_snn, rng, name):
+        # one frame: ``sharded`` runs it in process, on its own schedule
+        trains = self._batch(rng, dense_snn, 1)
+        backend = create_backend(name, dense_program)
+        schedule = backend.schedule
+        size = len(pickle.dumps(schedule))
+        backend.run(trains)
+        assert len(pickle.dumps(schedule)) == size
+        kept = schedule.take_state(1)
+        schedule.keep_state(kept)
+        assert pickle.loads(pickle.dumps(schedule)).take_state(1) is not kept
+        backend.close()
+        assert schedule.take_state(1) is not kept
 
 
 class TestWorkerBlasThreads:

@@ -8,7 +8,7 @@ trace is the ground truth and construction is cheap), batched sweeps want
 delegates are bit-exact, so the choice is purely about speed:
 
 * ``frames <= reference_max_frames`` (default 1) -> ``reference``;
-* ``frames < sharded_min_frames`` (default 256), or fewer than two usable
+* ``frames < sharded_min_frames`` (default 2048), or fewer than two usable
   workers -> ``vectorized``;
 * otherwise -> ``sharded``.
 
@@ -44,8 +44,10 @@ from .base import ExecutionBackend, normalise_spike_trains
 from .registry import create_backend, register_backend
 from .sharded import resolve_worker_count
 
-#: default smallest batch worth paying multiprocess overhead for
-DEFAULT_SHARDED_MIN_FRAMES = 256
+#: default smallest batch worth paying multiprocess overhead for: on the
+#: Table III(a) MLP with 2 workers on 2 vCPUs, ``sharded`` first beats
+#: ``vectorized`` at 2048 frames (256, 512 and 1024 run faster in process)
+DEFAULT_SHARDED_MIN_FRAMES = 2048
 
 #: default largest batch still sent to the cycle-level interpreter
 DEFAULT_REFERENCE_MAX_FRAMES = 1

@@ -28,6 +28,7 @@ from repro.engine import (
     run,
     select_backend_name,
 )
+from repro.engine.auto import DEFAULT_SHARDED_MIN_FRAMES
 from repro.engine.parity import _compare_probes
 from repro.engine.sharded import (
     BLAS_THREAD_SETTERS,
@@ -216,10 +217,12 @@ class TestAutoSelection:
 
     def test_policy_vectorized_for_small_batches(self):
         assert select_backend_name(2, workers=8) == "vectorized"
-        assert select_backend_name(255, workers=8) == "vectorized"
+        assert select_backend_name(1024, workers=8) == "vectorized"
+        assert select_backend_name(2047, workers=8) == "vectorized"
 
     def test_policy_sharded_above_threshold(self):
-        assert select_backend_name(256, workers=8) == "sharded"
+        assert DEFAULT_SHARDED_MIN_FRAMES == 2048
+        assert select_backend_name(2048, workers=8) == "sharded"
         assert select_backend_name(10_000, workers=8) == "sharded"
 
     def test_policy_never_shards_without_workers(self):
@@ -411,21 +414,22 @@ class TestKeptRunState:
             self, dense_program, dense_snn, rng):
         backend = create_backend("vectorized", dense_program)
         schedule = backend.schedule
+        steps = dense_snn.timesteps
         backend.run(self._batch(rng, dense_snn, 12))
-        kept = schedule.take_state(12)
+        kept = schedule.take_state(12, steps)
         # taken back reset: every array the schedule writes is zero again
         assert not kept.active_axons.any()
         assert not any(array.any() for array in kept.potential + kept.axons)
         # taking empties the keep, so a concurrent run gets its own state
-        assert schedule.take_state(12) is not kept
+        assert schedule.take_state(12, steps) is not kept
         schedule.keep_state(kept)
         backend.run(self._batch(rng, dense_snn, 12))
-        assert schedule.take_state(12) is kept
+        assert schedule.take_state(12, steps) is kept
         schedule.keep_state(kept)
         # a 7-frame run replaces the kept 12-frame state
         backend.run(self._batch(rng, dense_snn, 7))
-        assert schedule.take_state(7).batch == 7
-        assert schedule.take_state(12) is not kept
+        assert schedule.take_state(7, steps).batch == 7
+        assert schedule.take_state(12, steps) is not kept
 
     def test_concurrent_runs_never_share_a_state(self, dense_program,
                                                  dense_snn, rng):
@@ -504,11 +508,51 @@ class TestKeptRunState:
         size = len(pickle.dumps(schedule))
         backend.run(trains)
         assert len(pickle.dumps(schedule)) == size
-        kept = schedule.take_state(1)
+        steps = dense_snn.timesteps
+        kept = schedule.take_state(1, steps)
         schedule.keep_state(kept)
-        assert pickle.loads(pickle.dumps(schedule)).take_state(1) is not kept
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy.take_state(1, steps) is not kept
         backend.close()
-        assert schedule.take_state(1) is not kept
+        assert schedule.take_state(1, steps) is not kept
+
+    @pytest.mark.parametrize("name", ["vectorized", "sharded"])
+    def test_kept_state_never_crosses_a_dtype_change(self, wide_program,
+                                                     name):
+        """The same frames at T=15 (int32 state) and T=17 (int64): each
+        run equals a fresh backend's and the reference's, and a kept
+        state is reused only at its own dtype."""
+        options = {"workers": 2} if name == "sharded" else {}
+        rng = np.random.default_rng(17)
+        frames = rng.random((6, 17, 4)) < 0.8
+        frames[0] = True  # past int32 by T=17
+        runs = (frames[:, :15], frames, frames[:, :15], frames)
+        reference = create_backend("reference", wide_program)
+        with create_backend(name, wide_program, **options) as backend:
+            schedule = backend.schedule
+            assert [schedule.state_dtype(trains.shape[1]) for trains in
+                    runs[:2]] == [np.int32, np.int64]
+            for trains in runs:
+                result = backend.run(trains, probes=ProbeSet.full())
+                with create_backend(name, wide_program, **options) as fresh:
+                    _assert_same_run(result,
+                                     fresh.run(trains, probes=ProbeSet.full()))
+                expected = reference.run(trains, probes=ProbeSet.full())
+                np.testing.assert_array_equal(result.spike_counts,
+                                              expected.spike_counts)
+                assert result.stats.summary() == expected.stats.summary()
+                _compare_probes(name, "reference", result, expected)
+        # in process: a state kept at one dtype is never handed to the other
+        backend = create_backend("vectorized", wide_program)
+        schedule = backend.schedule
+        backend.run(frames[:, :15])
+        narrow = schedule.take_state(6, 15)
+        assert narrow.dtype == np.int32
+        schedule.keep_state(narrow)
+        wide = schedule.take_state(6, 17)
+        assert wide is not narrow and wide.dtype == np.int64
+        schedule.keep_state(wide)
+        assert schedule.take_state(6, 15) is not wide
 
 
 class TestWorkerBlasThreads:

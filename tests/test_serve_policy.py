@@ -292,6 +292,16 @@ class TestCrossover:
             assert "sharded" not in {
                 key[0] for key in session.engine._instances}
 
+    def test_default_policy_forks_no_pool(self, case):
+        """The default ``max_batch`` sits below the default crossover, so
+        loading a model with the default policy forks no worker pool."""
+        compiled, _ = case
+        policy = ServePolicy()
+        assert policy.max_batch < policy.sharded_min_frames
+        with Session("default", compiled, policy) as session:
+            assert "sharded" not in {
+                key[0] for key in session.engine._instances}
+
 
 # ----------------------------------------------------------------------
 # Metrics surface

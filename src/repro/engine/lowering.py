@@ -30,7 +30,8 @@ reference interpreter uses (:class:`~repro.core.neuron_core.NeuronCoreError`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -230,15 +231,49 @@ class BatchState:
         self.active_axons.fill(0)
 
 
+def state_rows(ops: Sequence[LoweredOp], inject_ops: Sequence[InjectInput]
+               ) -> Dict[str, Tuple[int, ...]]:
+    """Per array kind, the slots (``"reg"``: registers) some op or input
+    injection declares it writes (:meth:`LoweredOp.effects`), ascending:
+    the rows of a :class:`BatchState` (see :attr:`LoweredSchedule.rows`)."""
+    written: Dict[str, Set[int]] = {}
+    for op in chain(inject_ops, ops):
+        for kind, index in op.effects()[1]:
+            written.setdefault(kind, set()).add(index)
+    return {kind: tuple(sorted(slots)) for kind, slots in written.items()}
+
+
 # ----------------------------------------------------------------------
 # Lowered operations
 # ----------------------------------------------------------------------
+#: a piece of run state an op reads or writes: a tile array's kind and its
+#: slot (``("axons", 3)``), or ``("reg", n)`` for packet register ``n``
+_Key = Tuple[str, int]
+
+
+def _members(slot: Union[int, Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The slots of an op: its own, or a folded op's members'."""
+    return slot if isinstance(slot, tuple) else (slot,)
+
+
 class LoweredOp:
-    """One dense batched operation of the flat per-timestep schedule."""
+    """One dense batched operation of the flat per-timestep schedule.
+
+    Each op class declares, once, what its :meth:`run` touches:
+    :meth:`effects`.  The optimizer's rewrites, the clear plan and
+    :meth:`LoweredSchedule.allocate` learn it from there alone, so an op
+    must read and write exactly the state it declares.
+    """
 
     __slots__ = ()
 
     def run(self, st: BatchState) -> None:
+        raise NotImplementedError
+
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        """``(reads, writes)``: the run state one :meth:`run` reads and
+        writes, as ``(kind, slot-or-register)`` keys (the input spikes and
+        ``active_axons`` are not state keys)."""
         raise NotImplementedError
 
     def describe(self) -> str:  # pragma: no cover - cosmetic
@@ -273,6 +308,9 @@ class InjectInput(LoweredOp):
 
     def run(self, st: BatchState) -> None:
         st.axons[self.slot][:, self.offset:self.end] |= st.inputs[:, self.indices]
+
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        return [], [("axons", self.slot)]
 
 
 class Accumulate(LoweredOp):
@@ -315,6 +353,9 @@ class Accumulate(LoweredOp):
         np.copyto(st.local_ps[self.slot], sums)
         st.active_axons += axons.sum(axis=1)
 
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        return [("axons", self.slot)], [("local_ps", self.slot)]
+
 
 class PsAdd(LoweredOp):
     """``SUM $SRC, $CONSEC`` / ``RECV $SRC`` — in-network add or latch.
@@ -349,6 +390,13 @@ class PsAdd(LoweredOp):
         st.sum_buf[self.slot][:, self.idx] = values
         st.weighted[self.slot][:, self.idx] = values
 
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        reads: List[_Key] = [("reg", self.reg)]
+        if self.add:
+            reads.append(("sum_buf" if self.consecutive else "local_ps",
+                          self.slot))
+        return reads, [("sum_buf", self.slot), ("weighted", self.slot)]
+
 
 class MakePsPacket(LoweredOp):
     """``SEND`` on the PS NoC — snapshot selected lanes into a packet register."""
@@ -367,6 +415,10 @@ class MakePsPacket(LoweredOp):
         dense[:] = 0
         dense[:, self.idx] = source[:, self.idx]
 
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        return ([("sum_buf" if self.use_sum_buf else "local_ps", self.slot)],
+                [("reg", self.reg)])
+
 
 class MakeSpikePacket(LoweredOp):
     """``SEND`` on the spike NoC — snapshot the spike register's lanes."""
@@ -383,6 +435,9 @@ class MakeSpikePacket(LoweredOp):
         dense[:] = False
         dense[:, self.idx] = st.spike_reg[self.slot][:, self.idx]
 
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        return [("spike_reg", self.slot)], [("reg", self.reg)]
+
 
 class FilterPacket(LoweredOp):
     """Lane-masked ``BYPASS`` — copy a packet keeping only selected lanes."""
@@ -398,6 +453,9 @@ class FilterPacket(LoweredOp):
         dense = st.regs[self.reg_out]
         dense[:] = 0
         dense[:, self.idx] = st.regs[self.reg_in][:, self.idx]
+
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        return [("reg", self.reg_in)], [("reg", self.reg_out)]
 
 
 class Fire(LoweredOp):
@@ -453,6 +511,16 @@ class Fire(LoweredOp):
         potential[:, self.idx] = pot - np.where(fired, self.thresholds, 0)
         spikes[:, self.idx] = fired
 
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        # a member's keys, in order and without repeats, are the source,
+        # ``potential`` and ``spike_reg`` rows ``block_rows`` addresses
+        source = "weighted" if self.use_noc_sum else "local_ps"
+        slots = _members(self.slot)
+        return ([(kind, slot) for kind in (source, "potential")
+                 for slot in slots],
+                [(kind, slot) for kind in ("potential", "spike_reg")
+                 for slot in slots])
+
 
 def _narrow_thresholds(thresholds: np.ndarray) -> np.ndarray:
     """A copy of ``thresholds`` as int32 when every value fits, else as
@@ -481,6 +549,9 @@ class Eject(LoweredOp):
 
     def run(self, st: BatchState) -> None:
         st.axons[self.slot][:, self.offset:self.end] |= st.regs[self.reg][:, self.lanes]
+
+    def effects(self) -> Tuple[List[_Key], List[_Key]]:
+        return [("reg", self.reg)], [("axons", self.slot)]
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +610,9 @@ class LoweredSchedule:
     #: tile -> state-slot map (probe capture addresses into BatchState)
     slots: Dict[TileCoordinate, int] = field(default_factory=dict)
     #: static per-timestep NoC traffic of the *program*:
-    #: (src tile, direction, net) -> (packets, lanes); recorded before any
-    #: dead-op elimination so it matches the reference interpreter
+    #: (src tile, direction, net) -> (packets, lanes); recorded by the
+    #: lowering, whatever the optimizer later fuses or drops, so it matches
+    #: the reference interpreter
     link_traffic: Dict[Tuple[TileCoordinate, Direction, str], Tuple[int, int]] = \
         field(default_factory=dict)
     #: packets injected per instruction group per timestep (wave occupancy)
@@ -555,9 +627,9 @@ class LoweredSchedule:
     #: per array kind ("axons", ..., "spike_reg"; "reg" for packet
     #: registers), the slots some op or input injection writes, ascending:
     #: row ``i`` of the kind's :class:`BatchState` block belongs to slot
-    #: ``rows[kind][i]`` (:func:`repro.engine.optimize.state_rows`).  Set
-    #: by the optimizer, whose folded ops address these rows; the first
-    #: :meth:`allocate` of an unoptimized schedule derives it
+    #: ``rows[kind][i]`` (:func:`state_rows`).  Set by the optimizer, whose
+    #: folded ops address these rows; the first :meth:`allocate` of an
+    #: unoptimized schedule derives it
     rows: Optional[Dict[str, Tuple[int, ...]]] = None
     #: the state the last run left for the next run of its frame count (see
     #: :meth:`take_state`); at most one, per process, never pickled
@@ -601,7 +673,6 @@ class LoweredSchedule:
         array of zeros.
         """
         if self.rows is None:
-            from .optimize import state_rows  # it imports this module
             self.rows = state_rows(self.ops, self.inject_ops)
         arch = self.program.arch
         return BatchState(batch, self.n_slots, arch.core_inputs,

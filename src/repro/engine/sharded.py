@@ -190,6 +190,10 @@ def _worker_init(payload: bytes, workers: int,
                       if fault_payload is not None else None)
 
 
+def _worker_ready() -> None:
+    """The no-op :meth:`ShardedBackend.warm_pool` waits for."""
+
+
 def _worker_run(task):
     """Run one shard: ``(index, attempt, packed, probe_set, want_metrics)``
     -> ``(index, counts, active_axons, probe_result, metrics_snapshot)``.
@@ -308,11 +312,17 @@ class ShardedBackend(ExecutionBackend):
     def warm_pool(self) -> None:
         """Fork the worker pool now instead of on the first run.
 
-        Long-lived callers (:mod:`repro.serve`) pay the fork and the
-        schedule unpickle at load time, so the first sharded request is
-        served at steady-state latency.  Idempotent while the pool lives.
+        The pool starts its processes at the first task, so this submits
+        one no-op per worker and waits for them: each ran after its worker
+        forked and unpickled the schedule.  Long-lived callers
+        (:mod:`repro.serve`) thus pay both at load time, and the first
+        sharded request is served at steady-state latency.  Idempotent
+        while the pool lives.
         """
-        self._ensure_pool()
+        pool = self._ensure_pool()
+        for future in [pool.submit(_worker_ready)
+                       for _ in range(self.workers)]:
+            future.result()
 
     def _ensure_pool(self, metrics=None) -> ProcessPoolExecutor:
         """Fork the persistent pool on first use (``workers`` processes)."""

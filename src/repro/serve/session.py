@@ -181,8 +181,7 @@ class Session:
         first heavy batch is served at steady-state latency.
         """
         self.engine.backend("vectorized")
-        if self.policy.max_batch >= self.policy.sharded_min_frames and \
-                self.policy.select_backend(self.policy.max_batch) == "sharded":
+        if self.policy.select_backend(self.policy.max_batch) == "sharded":
             self.engine.backend("sharded").warm_pool()
 
     def _normalise(self, frames: np.ndarray) -> np.ndarray:

@@ -98,7 +98,7 @@ def test_probe_parity_across_backends(name, rng):
 
 
 def test_probe_parity_on_optimized_program(rng):
-    """Probes also agree on a NoC-optimized program (dead ops removed)."""
+    """Probes also agree on a program compiled with ``optimize_noc``."""
     graph = _graph_for(SMALL_BUILDERS[0], rng)
     compiled = ir_compile(graph, DEFAULT_ARCH, optimize_noc=True)
     trains = deterministic_encode(rng.random((2, graph.input_size)),

@@ -279,12 +279,18 @@ class TestCrossover:
             assert served.stats.summary() == solo.stats.summary()
 
     def test_warm_pool_forked_at_load_time(self, case):
-        """When the crossover can pick sharded, load() pays the fork."""
+        """When the crossover can pick sharded, load() pays the fork: the
+        pool's worker processes are running before any request."""
         compiled, _ = case
         policy = ServePolicy(batch_window=SLOW_WINDOW, max_batch=8,
                              sharded_min_frames=4, workers=2)
         with Session("warm", compiled, policy) as session:
-            assert session.engine.backend("sharded").pool_alive
+            backend = session.engine.backend("sharded")
+            assert backend.pool_alive
+            workers = list(backend._pool._processes.values())
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+            assert session.served == 0
         cold = ServePolicy(batch_window=SLOW_WINDOW, max_batch=2,
                            sharded_min_frames=4, workers=2)
         with Session("cold", compiled, cold) as session:

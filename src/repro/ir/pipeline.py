@@ -220,7 +220,11 @@ def _serial_reduction_rounds(layer: LogicalLayer,
 # ----------------------------------------------------------------------
 def emit_program(logical: LogicalNetwork, placement: Placement,
                  routes: RoutePlan, arch: ArchitectureConfig) -> Program:
-    """Emit the cycle-by-cycle :class:`Program` from a routed plan."""
+    """Emit the cycle-by-cycle :class:`Program` from a routed plan.
+
+    Each logical core's ``weights`` become a view of its tile's weight
+    array, so the compiled network holds every weight once.
+    """
     output_name = logical.metadata.get("output") or logical.layers[-1].name
     output_locator = routes.locators[output_name]
     program = Program(
@@ -275,7 +279,9 @@ def _emit_tile_configs(program: Program, logical: LogicalNetwork,
                 )
             weights = np.zeros((arch.core_inputs, arch.core_neurons),
                                dtype=np.int16)
-            weights[:core.n_axons, :core.lane_outputs.size] = core.weights
+            corner = weights[:core.n_axons, :core.lane_outputs.size]
+            corner[...] = core.weights
+            core.weights = corner
             thresholds = np.full(arch.core_neurons, layer.threshold,
                                  dtype=np.int64)
             program.add_tile_config(TileConfig(

@@ -30,6 +30,13 @@ class Layer:
     parameters also expose ``params`` / ``grads`` dictionaries keyed by
     parameter name so the optimisers in :mod:`repro.nn.training` can update
     them uniformly.
+
+    ``training`` says whether :meth:`forward` keeps what :meth:`backward`
+    reads (inputs, im2col columns, ReLU masks, input shapes).  With it off,
+    a forward keeps nothing and drops what an earlier one kept, so a layer
+    holds no arrays but ``params`` and ``grads``;
+    :meth:`repro.nn.model.Sequential.inference` turns it off for a whole
+    model.
     """
 
     #: True for layers whose forward pass is an affine map (mappable to cores)
@@ -89,7 +96,7 @@ class Dense(Layer):
             raise LayerError(
                 f"{self.name}: expected input (N, {self.in_features}), got {x.shape}"
             )
-        self._x = x
+        self._x = x if self.training else None
         y = x @ self.params["weight"]
         if self.use_bias:
             y = y + self.params["bias"]
@@ -116,8 +123,9 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -137,7 +145,7 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._shape = x.shape
+        self._shape = x.shape if self.training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -233,9 +241,9 @@ class Conv2D(Layer):
             raise LayerError(
                 f"{self.name}: expected input (N, H, W, {self.in_channels}), got {x.shape}"
             )
-        self._input_shape = x.shape
         cols, (out_h, out_w) = _im2col(x, self.kernel, self.stride, self.pad)
-        self._cols = cols
+        self._input_shape = x.shape if self.training else None
+        self._cols = cols if self.training else None
         w = self.params["weight"].reshape(-1, self.out_channels)
         y = cols @ w
         if self.use_bias:
@@ -287,7 +295,7 @@ class AvgPool2D(Layer):
             raise LayerError(
                 f"{self.name}: input {h}x{w} not divisible by pool {self.pool}"
             )
-        self._input_shape = x.shape
+        self._input_shape = x.shape if self.training else None
         reshaped = x.reshape(n, h // self.pool, self.pool, w // self.pool, self.pool, c)
         return reshaped.mean(axis=(2, 4))
 

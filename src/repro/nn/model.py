@@ -13,6 +13,7 @@ at the top level — which is also how the conversion toolchain walks it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +37,6 @@ class ResidualBlock(Layer):
         self.body = list(body)
         self.projection = projection
         self.activation = ReLU(name=f"{self.name}.relu")
-        self._x: Optional[np.ndarray] = None
 
     # -- forward / backward -------------------------------------------------
     def merge(self, body_out: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -54,11 +54,11 @@ class ResidualBlock(Layer):
         return self.activation.forward(body_out + shortcut)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = np.asarray(x, dtype=np.float64)
-        out = self._x
+        x = np.asarray(x, dtype=np.float64)
+        out = x
         for layer in self.body:
             out = layer.forward(out)
-        return self.merge(out, self._x)
+        return self.merge(out, x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad = self.activation.backward(grad)
@@ -77,11 +77,12 @@ class ResidualBlock(Layer):
             shape = layer.output_shape(shape)
         return shape
 
-    # -- parameter plumbing -------------------------------------------------
+    # -- inner layers (parameters, training mode) ----------------------------
     def sublayers(self) -> List[Layer]:
         layers = list(self.body)
         if self.projection is not None:
             layers.append(self.projection)
+        layers.append(self.activation)
         return layers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -153,7 +154,8 @@ class Branches(Layer):
                 f"{self.name}: concat-merge branch outputs differ spatially "
                 f"({spatial})"
             )
-        self._split_channels = [out.shape[-1] for out in outputs]
+        self._split_channels = ([out.shape[-1] for out in outputs]
+                                if self.training else [])
         return np.concatenate(outputs, axis=-1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -206,9 +208,12 @@ class Branches(Layer):
         h, w = shapes[0][:2]
         return (h, w, sum(shape[2] for shape in shapes))
 
-    # -- parameter plumbing -------------------------------------------------
+    # -- inner layers (parameters, training mode) ----------------------------
     def sublayers(self) -> List[Layer]:
-        return [layer for branch in self.branches for layer in branch]
+        layers = [layer for branch in self.branches for layer in branch]
+        if self.activation is not None:
+            layers.append(self.activation)
+        return layers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = "/".join(str(len(branch)) for branch in self.branches)
@@ -240,12 +245,34 @@ class Sequential:
             out = layer.backward(out)
         return out
 
+    @contextmanager
+    def inference(self) -> Iterator["Sequential"]:
+        """Run the forwards inside with every layer's ``training`` off.
+
+        Every layer of :meth:`all_layers` (merge activations included)
+        keeps nothing for a backward pass, and drops what an earlier
+        training forward kept; on exit each layer gets its own setting
+        back.  :meth:`predict`, :meth:`accuracy` and
+        :func:`repro.snn.conversion.convert_ann_to_graph` run inside it.
+        """
+        layers = list(self.all_layers())
+        modes = [layer.training for layer in layers]
+        for layer in layers:
+            layer.training = False
+        try:
+            yield self
+        finally:
+            for layer, mode in zip(layers, modes):
+                layer.training = mode
+
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Class predictions for a batch of inputs."""
+        """Class predictions for a batch of inputs, run in :meth:`inference`
+        (the layers keep no backward state)."""
         x = np.asarray(x, dtype=np.float64)
         outputs = []
-        for start in range(0, x.shape[0], batch_size):
-            outputs.append(self.forward(x[start:start + batch_size]))
+        with self.inference():
+            for start in range(0, x.shape[0], batch_size):
+                outputs.append(self.forward(x[start:start + batch_size]))
         return np.argmax(np.concatenate(outputs, axis=0), axis=1)
 
     def accuracy(self, x: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
@@ -272,7 +299,8 @@ class Sequential:
         return shapes
 
     def all_layers(self) -> Iterator[Layer]:
-        """Iterate over every layer, recursing into composite blocks."""
+        """Iterate over every layer, recursing into composite blocks (their
+        merge activations included)."""
         def walk(layer: Layer) -> Iterator[Layer]:
             yield layer
             if isinstance(layer, (ResidualBlock, Branches)):

@@ -98,43 +98,39 @@ def _prepare_calibration(model: Sequential, calibration: np.ndarray,
     return calibration
 
 
-def _capture(layer: Layer, x: np.ndarray,
-             activations: Dict[str, np.ndarray]) -> np.ndarray:
-    """Forward one layer, recording every firing point's activations.
+def _profile(layers: Sequence[Layer], x: np.ndarray, scales: Dict[str, float],
+             percentile: float, summed: bool = False) -> np.ndarray:
+    """Forward ``x`` through ``layers``, recording the activation scale of
+    every layer the converter normalises to: weighted layers and addition
+    merges.
 
-    Composite layers recurse so every *inner* firing point is profiled; the
-    merge step itself is delegated back to the layer (``merge`` /
-    ``merge_outputs``) so its semantics live in exactly one place.
+    Each scale is taken as soon as its layer's output exists, and no
+    output outlives the layer (or merge) that reads it.  With ``summed``
+    the last layer is a term of an addition merge: the converter reads the
+    merge's scale, not the term's, so the term is only forwarded.
+    Composite layers recurse; the merge itself is delegated back to the
+    layer (``merge`` / ``merge_outputs``) so its semantics live in exactly
+    one place.
     """
-    if isinstance(layer, ResidualBlock):
-        inner = x
-        for sub in layer.body:
-            inner = _capture(sub, inner, activations)
-        out = layer.merge(inner, x)
-        activations[layer.name] = out
-        return out
-    if isinstance(layer, Branches):
-        outputs = []
-        for branch in layer.branches:
-            current = x
-            for sub in branch:
-                current = _capture(sub, current, activations)
-            outputs.append(current)
-        out = layer.merge_outputs(outputs)
-        activations[layer.name] = out
-        return out
-    out = layer.forward(x)
-    activations[layer.name] = out
-    return out
-
-
-def _capture_activations(model: Sequential, x: np.ndarray) -> Dict[str, np.ndarray]:
-    """Forward ``x`` through the model capturing every firing point's output."""
-    activations: Dict[str, np.ndarray] = {}
-    out = np.asarray(x, dtype=np.float64)
-    for layer in model.layers:
-        out = _capture(layer, out, activations)
-    return activations
+    for position, layer in enumerate(layers):
+        if summed and position == len(layers) - 1:
+            return layer.forward(x)
+        if isinstance(layer, ResidualBlock):
+            body = _profile(layer.body, x, scales, percentile, summed=True)
+            x = layer.merge(body, x)
+        elif isinstance(layer, Branches):
+            add = layer.merge == "add"
+            x = layer.merge_outputs([
+                _profile(branch, x, scales, percentile, summed=add)
+                for branch in layer.branches])
+            if not add:
+                continue
+        else:
+            x = layer.forward(x)
+            if not layer.has_weights:
+                continue
+        scales[layer.name] = _activation_scale(x, percentile)
+    return x
 
 
 class _GraphConverter:
@@ -148,21 +144,20 @@ class _GraphConverter:
     slice-wise by this vector.
     """
 
-    def __init__(self, graph, activations: Dict[str, np.ndarray],
+    def __init__(self, graph, layer_scales: Dict[str, float],
                  config: ConversionConfig):
         self.graph = graph
-        self.activations = activations
+        self.layer_scales = layer_scales
         self.config = config
 
     # -- helpers -------------------------------------------------------
     def scale_of(self, name: str) -> float:
         try:
-            values = self.activations[name]
+            return self.layer_scales[name]
         except KeyError:
             raise ConversionError(
                 f"no profiled activations for layer {name!r}"
             ) from None
-        return _activation_scale(values, self.config.percentile)
 
     @staticmethod
     def _flat_scales(shape: Tuple[int, ...], scales: np.ndarray) -> np.ndarray:
@@ -396,12 +391,19 @@ def convert_ann_to_graph(model: Sequential, calibration: np.ndarray,
     (5-bit weights).  Returns a
     :class:`~repro.ir.graph.LayerGraph` ready for
     :func:`repro.ir.compile` and :class:`repro.ir.GraphSnnRunner`.
+
+    Conversion is inference only: the calibration forward runs in
+    :meth:`~repro.nn.model.Sequential.inference`, so ``model`` keeps no
+    backward state, and of the calibration activations only each
+    normalised layer's scale outlives its own layer's forward.
     """
     from ..ir.graph import GRAPH_INPUT, LayerGraph
 
     config = config or ConversionConfig()
     calibration = _prepare_calibration(model, calibration, config)
-    activations = _capture_activations(model, calibration)
+    layer_scales: Dict[str, float] = {}
+    with model.inference():
+        _profile(model.layers, calibration, layer_scales, config.percentile)
     input_scale = _activation_scale(calibration, config.percentile)
 
     graph = LayerGraph(
@@ -414,7 +416,7 @@ def convert_ann_to_graph(model: Sequential, calibration: np.ndarray,
             "source_model": model.name,
         },
     )
-    converter = _GraphConverter(graph, activations, config)
+    converter = _GraphConverter(graph, layer_scales, config)
     shape = tuple(model.input_shape)
     if len(shape) == 3:
         scales = np.full(shape[2], input_scale)

@@ -27,7 +27,7 @@ from repro.engine import (
     register_backend,
     run,
 )
-from repro.engine.lowering import Eject, FilterPacket
+from repro.engine.lowering import Eject, FilterPacket, MakeSpikePacket
 from repro.ir import compile as ir_compile
 from repro.mapping.program import (
     InputBinding,
@@ -197,25 +197,29 @@ class TestLowering:
 
     def test_partial_bypass_filters_to_the_overlap(self, arch):
         """A BYPASS whose lanes only partly overlap its packet forwards the
-        intersection, in packet order, and a second BYPASS narrows it again."""
+        intersection, in packet order, and a second BYPASS narrows it again.
+        Neither copies the packet: the first BYPASS's eject and the final
+        RECV both read the SEND's register, each at the lanes its chain
+        kept."""
         weights = np.ones((arch.core_inputs, arch.core_neurons), dtype=np.int16)
         program = _single_core_program(arch, weights)
         route = program.new_phase("route")
         route.new_group().add(TileCoordinate(0, 0), SpikeSend(
             dst=Direction.EAST, lanes=[1, 3, 5, 7, 9]))
         route.new_group().add(TileCoordinate(0, 1), SpikeBypass(
-            src=Direction.WEST, dst=Direction.SOUTH, lanes=[0, 3, 4, 9, 5]))
+            src=Direction.WEST, dst=Direction.SOUTH, lanes=[0, 3, 4, 9, 5],
+            eject=True))
         route.new_group().add(TileCoordinate(1, 1), SpikeBypass(
             src=Direction.NORTH, dst=Direction.WEST, lanes=[9, 11, 3]))
         route.new_group().add(TileCoordinate(1, 0), SpikeReceive(
             src=Direction.EAST))
         schedule = lower_program(program)
-        filters = [op for op in schedule.ops if isinstance(op, FilterPacket)]
-        assert [op.idx.tolist() for op in filters] == [[3, 5, 9], [3, 9]]
-        assert filters[1].reg_in == filters[0].reg_out
-        (eject,) = [op for op in schedule.ops if isinstance(op, Eject)]
-        assert eject.reg == filters[1].reg_out
-        assert eject.lanes.tolist() == [3, 9]
+        assert not any(isinstance(op, FilterPacket) for op in schedule.ops)
+        (send,) = [op for op in schedule.ops if isinstance(op, MakeSpikePacket)]
+        ejects = [op for op in schedule.ops if isinstance(op, Eject)]
+        assert [op.lanes.tolist() for op in ejects] == [[3, 5, 9], [3, 9]]
+        assert [op.reg for op in ejects] == [send.reg, send.reg]
+        assert schedule.reg_nets == ("spike",)
 
     def test_conflicting_sends_rejected(self, arch):
         weights = np.ones((arch.core_inputs, arch.core_neurons), dtype=np.int16)

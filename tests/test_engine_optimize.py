@@ -25,7 +25,7 @@ from repro.core import (
     small_test_arch,
 )
 from repro.core.config import DEFAULT_ARCH
-from repro.core.isa import Direction, PsReceive, PsSend, PsSum
+from repro.core.isa import Direction, PsBypass, PsReceive, PsSend, PsSum
 from repro.core.neuron_core import NeuronCoreError
 from repro.core.ps_router import PsRouterError
 from repro.core.tile import TileCoordinate
@@ -42,6 +42,7 @@ from repro.engine.lowering import (
     Eject,
     FilterPacket,
     Fire,
+    MakePsPacket,
     MakeSpikePacket,
     PsAdd,
     _members,
@@ -990,6 +991,72 @@ class TestDropUnreadPackets:
                 Eject(1, 4, lanes[:2], 0)]
         kept = _drop_unread_packets(dead_chain + live)
         assert kept == [live[0], live[2]]
+
+
+def _bypass_chain_program(bypass_lanes, sum_lanes):
+    """A SENDs its partial sums on lanes 0-2 east, B forwards the packet
+    south keeping ``bypass_lanes``, and C SUMs it on ``sum_lanes``
+    (``None``: the lanes the packet carries) and fires."""
+    program = _ps6_program({A: (np.full((4, 4), 3), np.arange(4)),
+                            C: (np.ones((4, 4)), np.arange(4))})
+    reduce = program.new_phase("reduce")
+    reduce.new_group().add(A, PsSend(dst=Direction.EAST, lanes=(0, 1, 2)))
+    reduce.new_group().add(B, PsBypass(src=Direction.WEST,
+                                       dst=Direction.SOUTH,
+                                       lanes=bypass_lanes))
+    reduce.new_group().add(C, PsSum(src=Direction.NORTH, lanes=sum_lanes))
+    program.new_phase("fire").new_group().add(C, SpikeFire(use_noc_sum=True))
+    _output(program, C, 0)
+    return program
+
+
+class TestBypassChains:
+    """A BYPASS lowers to no op: the SUM at the end of the chain reads the
+    SEND's register.  A ``FilterPacket`` copy is lowered only where the
+    SUM's explicit lanes include a lane that register holds but the chain
+    dropped (lane 2 here), which must read zero."""
+
+    @pytest.mark.parametrize("sum_lanes, copies", [
+        ((0, 1, 2, 3), 1),  # lane 2: held, dropped by B
+        ((0, 1, 3), 0),     # lane 3: never sent, the register holds zero
+        (None, 0),          # the lanes the chain kept
+    ])
+    def test_only_a_dropped_lane_keeps_a_copy(self, sum_lanes, copies):
+        program = _bypass_chain_program((0, 1), sum_lanes)
+        schedule = lower_program(program)
+        filters = [op for op in schedule.ops if isinstance(op, FilterPacket)]
+        assert len(filters) == copies
+        (send,) = [op for op in schedule.ops if isinstance(op, MakePsPacket)]
+        (total,) = [op for op in schedule.ops if isinstance(op, PsAdd)]
+        if copies:
+            assert filters[0].idx.tolist() == [0, 1]
+            assert (filters[0].reg_in, total.reg) == (send.reg,
+                                                      filters[0].reg_out)
+            # the copy survives optimization: the SUM reads lane 2
+            assert FilterPacket in _kinds(program)
+        else:
+            assert total.reg == send.reg
+        trains = np.random.default_rng(8).random((6, 8, 4)) < 0.7
+        assert_backend_parity(program, trains, probes=ProbeSet.full())
+        _assert_matches_unoptimized(program, trains, probes=ProbeSet.full())
+
+    def test_the_dropped_lane_reads_zero(self):
+        """Lane 2 of the SUM fires less when B drops it than when B keeps
+        it, on the reference interpreter and on both schedules."""
+        trains = np.ones((1, 8, 4), dtype=bool)
+        counts = {}
+        for bypass_lanes in ((0, 1), (0, 1, 2)):
+            program = _bypass_chain_program(bypass_lanes, (0, 1, 2, 3))
+            runs = [create_backend("reference", program).run(trains),
+                    create_backend("vectorized", program).run(trains),
+                    create_backend("vectorized", program,
+                                   optimize=False).run(trains)]
+            for run in runs[1:]:
+                np.testing.assert_array_equal(run.spike_counts,
+                                              runs[0].spike_counts)
+            counts[bypass_lanes] = runs[0].spike_counts[0].tolist()
+        assert counts[(0, 1)][2] < counts[(0, 1, 2)][2]
+        assert counts[(0, 1)][3] == counts[(0, 1, 2)][3]
 
 
 class TestClearPlan:

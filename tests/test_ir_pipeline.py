@@ -11,9 +11,11 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.apps.networks import seeded_benchmark_graph
+from repro.core.config import DEFAULT_ARCH
 from repro.engine import assert_backend_parity, run as engine_run
 from repro.ir import GraphSnnRunner, LayerGraph, compile as ir_compile
-from repro.ir.pipeline import check_placement
+from repro.ir.pipeline import build_routes, check_placement, logical_map
 from repro.mapping import MappingError, verify_waves
 from repro.snn.encoding import deterministic_encode
 from repro.snn.spec import DenseSpec
@@ -95,6 +97,32 @@ class TestPipelineEquivalence:
         hardware = engine_run(compiled.program, trains, backend="vectorized")
         np.testing.assert_array_equal(abstract.spike_counts,
                                       hardware.spike_counts)
+
+
+class TestOneWeightCopy:
+    @pytest.mark.parametrize("name, optimize_noc", [
+        ("mnist-cnn-small", True), ("cifar-resnet-small", False),
+        ("mnist-inception-small", True)])
+    def test_core_weights_are_views_of_their_tiles(self, name, optimize_noc):
+        """After emission each logical core's weights are its corner of the
+        tile's array (no second buffer), with the values the mapping gave
+        it; the rest of the tile is zero."""
+        graph, _ = seeded_benchmark_graph(name, 8)
+        compiled = ir_compile(graph, DEFAULT_ARCH, optimize_noc=optimize_noc)
+        # the same mapping again, routed on the same placement (which
+        # orders each core's axons) but never emitted
+        mapped = logical_map(graph, DEFAULT_ARCH)
+        build_routes(mapped, compiled.placement, optimize_noc=optimize_noc)
+        configs = compiled.program.tile_configs
+        for layer, expected_layer in zip(compiled.logical.layers,
+                                         mapped.layers):
+            for core, expected in zip(layer.cores, expected_layer.cores):
+                tile = configs[compiled.placement.position(core.index)].weights
+                assert core.weights.base is tile
+                np.testing.assert_array_equal(core.weights, expected.weights)
+                padded = np.zeros_like(tile)
+                padded[:core.n_axons, :core.lane_outputs.size] = expected.weights
+                np.testing.assert_array_equal(tile, padded)
 
 
 class TestPerPassInvariants:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, ReLU
+from repro.apps.networks import ALL_BUILDERS
+from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, LayerError, ReLU
 from repro.nn.model import ResidualBlock, Sequential
 from repro.nn.training import SGD, Trainer
 from repro.ir import GraphSnnRunner
@@ -191,3 +192,61 @@ class TestRateCodingFidelity:
         snn_acc = GraphSnnRunner(graph).accuracy(data[300:], labels[300:], timesteps=32)
         assert ann_acc > 0.8
         assert snn_acc >= ann_acc - 0.15
+
+
+SMALL_BUILDERS = sorted(name for name in ALL_BUILDERS if name.endswith("-small"))
+
+
+def _held_arrays(model):
+    """``layer.attribute`` for every ndarray a layer of ``model`` (composite
+    blocks' inner layers and merge activations included) holds outside
+    its ``params`` and ``grads``."""
+    return [f"{layer.name}.{attr}" for layer in model.all_layers()
+            for attr, value in vars(layer).items()
+            if isinstance(value, np.ndarray)]
+
+
+class TestInferenceKeepsNoState:
+    """Conversion and prediction are inference: they leave no backward
+    caches (im2col columns, ReLU masks, inputs, shapes) on the layers."""
+
+    @pytest.mark.parametrize("name", SMALL_BUILDERS)
+    def test_conversion_and_predict_leave_no_arrays(self, name):
+        model = ALL_BUILDERS[name](seed=0)
+        x = np.random.default_rng(2).random((4,) + model.input_shape)
+        convert_ann_to_graph(model, x)
+        assert _held_arrays(model) == []
+        # a training forward keeps its caches; predict drops them again
+        model.forward(x)
+        assert _held_arrays(model)
+        model.predict(x)
+        assert _held_arrays(model) == []
+        # and the next training forward keeps them once more
+        model.forward(x)
+        assert _held_arrays(model)
+
+    @pytest.mark.parametrize("name", SMALL_BUILDERS)
+    def test_training_after_conversion_matches_a_fresh_model(self, name):
+        rng = np.random.default_rng(3)
+        converted, fresh = ALL_BUILDERS[name](seed=0), ALL_BUILDERS[name](seed=0)
+        x = rng.random((4,) + fresh.input_shape)
+        labels = rng.integers(0, 10, size=4)
+        convert_ann_to_graph(converted, x)
+        assert all(layer.training for layer in converted.all_layers())
+        losses = [Trainer(model, SGD(0.05), batch_size=4).train_batch(x, labels)
+                  for model in (converted, fresh)]
+        assert losses[0] == losses[1]
+        grads, expected = converted.gradients(), fresh.gradients()
+        assert grads.keys() == expected.keys() and grads
+        for key, grad in expected.items():
+            np.testing.assert_array_equal(grads[key], grad)
+
+    def test_a_failed_calibration_forward_restores_training(self, rng):
+        model = Sequential([
+            Dense(20, 16, bias=False, rng=rng, name="fc1"), ReLU(name="r1"),
+            Dense(8, 4, bias=False, rng=rng, name="fc2"),
+        ], input_shape=(20,))
+        with pytest.raises(LayerError, match="fc2"):
+            convert_ann_to_graph(model, rng.random((4, 20)))
+        assert all(layer.training for layer in model.all_layers())
+        assert _held_arrays(model) == []

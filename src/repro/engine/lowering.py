@@ -8,8 +8,9 @@ fixed at compile time — only the packet *values* depend on the input.  The
 lowering pass exploits this by symbolically executing the program's schedule
 once, resolving every packet movement to a static register assignment, and
 emitting a flat list of dense numpy operations that an executor replays once
-per time step for **all frames of a batch simultaneously** (leading batch
-axis).
+per time step for **all frames of a batch simultaneously**.  Run state is
+lane-major: each tile array is ``(width, frames)``, so one lane's frames
+are one contiguous run and every op indexes lanes first.
 
 Because the schedule is static, the execution statistics are equally static
 (up to the data-dependent ``ACC`` switching activity, which the executor
@@ -122,7 +123,7 @@ def _row_selector(rows: Sequence[int]):
 
 
 class BatchState:
-    """Dense run state: one array row per frame of the batch.
+    """Dense run state for a batch of frames, lane-major.
 
     Tile state is indexed by *slot* (a dense renumbering of the tiles the
     program touches); packet registers are keyed by the register number the
@@ -130,11 +131,14 @@ class BatchState:
     steps (matching ``NeuronCore``/``SpikeRouter``); the per-step arrays
     are cleared by :meth:`begin_timestep`.
 
+    Every tile array and register is ``(width, batch)``: lanes (axons for
+    ``axons``) first, so one lane's frames are one contiguous run, and a
+    lane slice, an eject or a packet copy moves contiguous memory.
     ``rows`` maps each tile-array kind (``"axons"``, ``"local_ps"``, ...)
     to the slots some op or input injection writes, ascending, and
     ``"reg"`` to the registers some op writes (every register an op reads
     is written by its producer).  Each kind is one ``(len(rows[kind]),
-    batch, width)`` array in ``blocks[kind]``, row ``i`` belonging to slot
+    width, batch)`` array in ``blocks[kind]``, row ``i`` belonging to slot
     ``rows[kind][i]``; ``axons[slot]``, ``potential[slot]`` and their
     siblings are views of those rows, so per-slot ops write the block in
     place and an op folded over several slots
@@ -165,18 +169,18 @@ class BatchState:
             width = core_inputs if kind == "axons" else core_neurons
             kind_dtype = self.dtype if kind in _NUMERIC else np.dtype(np.bool_)
             mine = rows.get(kind, ())
-            block = self.blocks[kind] = np.zeros((len(mine), batch, width),
+            block = self.blocks[kind] = np.zeros((len(mine), width, batch),
                                                  kind_dtype)
             shared = zeros.get((width, kind_dtype))
             if shared is None:
                 shared = zeros[width, kind_dtype] = np.broadcast_to(
-                    np.zeros((), kind_dtype), (batch, width))
+                    np.zeros((), kind_dtype), (width, batch))
             arrays = [shared] * n_slots
             for row, slot in enumerate(mine):
                 arrays[slot] = block[row]
             setattr(self, kind, arrays)
         self.regs: Dict[int, np.ndarray] = {
-            reg: np.zeros((batch, core_neurons),
+            reg: np.zeros((core_neurons, batch),
                           self.dtype if reg_nets[reg] == "ps" else np.bool_)
             for reg in rows.get("reg", ())
         }
@@ -210,7 +214,8 @@ class BatchState:
         return buffer
 
     def begin_timestep(self, inputs: np.ndarray) -> None:
-        """Clear per-step latches and expose this step's input spikes.
+        """Clear per-step latches and expose this step's input spikes,
+        ``(input size, batch)`` bool.
 
         Clears the written per-step arrays, one call per kind: those the
         schedule's :class:`ClearPlan` (computed by
@@ -307,7 +312,7 @@ class InjectInput(LoweredOp):
         self.end = offset + indices.size
 
     def run(self, st: BatchState) -> None:
-        st.axons[self.slot][:, self.offset:self.end] |= st.inputs[:, self.indices]
+        st.axons[self.slot][self.offset:self.end] |= st.inputs[self.indices]
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         return [], [("axons", self.slot)]
@@ -345,13 +350,13 @@ class Accumulate(LoweredOp):
         axons = st.axons[self.slot]
         cast = st.scratch(("acc", self.slot), axons.shape, np.int64)
         np.copyto(cast, axons, casting="unsafe")
-        sums = cast @ self.weights
+        sums = self.weights.T @ cast
         if self.check and sums.size and (
                 sums.min() < self.ps_min or sums.max() > self.ps_max):
             raise core_overflow_error(self.where, self.ps_min, self.ps_max)
         # in place: a folded op may read this row through its block
         np.copyto(st.local_ps[self.slot], sums)
-        st.active_axons += axons.sum(axis=1)
+        st.active_axons += axons.sum(axis=0)
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         return [("axons", self.slot)], [("local_ps", self.slot)]
@@ -379,16 +384,16 @@ class PsAdd(LoweredOp):
         self.where = where
 
     def run(self, st: BatchState) -> None:
-        incoming = st.regs[self.reg][:, self.idx]
+        incoming = st.regs[self.reg][self.idx]
         if self.add:
             base = st.sum_buf[self.slot] if self.consecutive else st.local_ps[self.slot]
-            values = base[:, self.idx] + incoming
+            values = base[self.idx] + incoming
             if values.size and (values.min() < self.ps_min or values.max() > self.ps_max):
                 raise router_overflow_error(self.where, self.ps_min, self.ps_max)
         else:
             values = incoming
-        st.sum_buf[self.slot][:, self.idx] = values
-        st.weighted[self.slot][:, self.idx] = values
+        st.sum_buf[self.slot][self.idx] = values
+        st.weighted[self.slot][self.idx] = values
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         reads: List[_Key] = [("reg", self.reg)]
@@ -413,7 +418,7 @@ class MakePsPacket(LoweredOp):
         source = st.sum_buf[self.slot] if self.use_sum_buf else st.local_ps[self.slot]
         dense = st.regs[self.reg]
         dense[:] = 0
-        dense[:, self.idx] = source[:, self.idx]
+        dense[self.idx] = source[self.idx]
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         return ([("sum_buf" if self.use_sum_buf else "local_ps", self.slot)],
@@ -433,7 +438,7 @@ class MakeSpikePacket(LoweredOp):
     def run(self, st: BatchState) -> None:
         dense = st.regs[self.reg]
         dense[:] = False
-        dense[:, self.idx] = st.spike_reg[self.slot][:, self.idx]
+        dense[self.idx] = st.spike_reg[self.slot][self.idx]
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         return [("spike_reg", self.slot)], [("reg", self.reg)]
@@ -458,7 +463,7 @@ class FilterPacket(LoweredOp):
     def run(self, st: BatchState) -> None:
         dense = st.regs[self.reg_out]
         dense[:] = 0
-        dense[:, self.idx] = st.regs[self.reg_in][:, self.idx]
+        dense[self.idx] = st.regs[self.reg_in][self.idx]
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         return [("reg", self.reg_in)], [("reg", self.reg_out)]
@@ -468,16 +473,17 @@ class Fire(LoweredOp):
     """``SPIKE`` — batched integrate-and-fire with reset by subtraction.
 
     With a slice selector (the optimizer's form for contiguous lanes) the
-    lanes of ``potential`` and ``spike_reg`` are views, so the op adds,
-    compares and subtracts in place, through one scratch buffer per lane
-    shape.  An index-array selector gathers, computes and scatters back.
-    ``thresholds`` are int32 when every one fits (so an int32 state never
-    widens), else int64.
+    lanes of ``potential`` and ``spike_reg`` are contiguous ``(lanes,
+    frames)`` views, so the op adds, compares and subtracts in place,
+    through one scratch buffer per lane shape.  An index-array selector
+    gathers, computes and scatters back.  ``thresholds`` are ``(lanes,
+    1)``, broadcast over the frames, and int32 when every one fits (so an
+    int32 state never widens), else int64.
 
     The optimizer folds a run of such ops that share one lane slice and
     source, on evenly spaced rows of the state's blocks, into one op: then
     ``slot`` is the tuple of the members' slots, ``thresholds`` is
-    ``(members, 1, lanes)``, and ``block_rows`` holds the row slices of the
+    ``(members, lanes, 1)``, and ``block_rows`` holds the row slices of the
     source, ``potential`` and ``spike_reg`` blocks (``None`` on a per-slot
     op), so the same in-place code runs once over a strided view of them.
     """
@@ -504,18 +510,18 @@ class Fire(LoweredOp):
             potential = st.blocks["potential"][pot_rows]
             spikes = st.blocks["spike_reg"][spike_rows]
         if isinstance(self.idx, slice):
-            pot = potential[..., self.idx]
-            pot += weighted[..., self.idx]
-            fired = spikes[..., self.idx]
+            pot = potential[..., self.idx, :]
+            pot += weighted[..., self.idx, :]
+            fired = spikes[..., self.idx, :]
             np.greater_equal(pot, self.thresholds, out=fired)
             reset = st.scratch(("fire", pot.shape), pot.shape, pot.dtype)
             np.multiply(fired, self.thresholds, out=reset)
             pot -= reset
             return
-        pot = potential[:, self.idx] + weighted[:, self.idx]
+        pot = potential[self.idx] + weighted[self.idx]
         fired = pot >= self.thresholds
-        potential[:, self.idx] = pot - np.where(fired, self.thresholds, 0)
-        spikes[:, self.idx] = fired
+        potential[self.idx] = pot - np.where(fired, self.thresholds, 0)
+        spikes[self.idx] = fired
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         # a member's keys, in order and without repeats, are the source,
@@ -529,12 +535,12 @@ class Fire(LoweredOp):
 
 
 def _narrow_thresholds(thresholds: np.ndarray) -> np.ndarray:
-    """A copy of ``thresholds`` as int32 when every value fits, else as
-    int64 (the ``Fire`` thresholds of :func:`lower_program`)."""
+    """A ``(lanes, 1)`` copy of ``thresholds`` as int32 when every value
+    fits, else as int64 (the ``Fire`` thresholds of :func:`lower_program`)."""
     info = np.iinfo(np.int32)
     fits = not thresholds.size or (info.min <= thresholds.min()
                                    and thresholds.max() <= info.max)
-    return thresholds.astype(np.int32 if fits else np.int64)
+    return thresholds.astype(np.int32 if fits else np.int64)[:, None]
 
 
 class Eject(LoweredOp):
@@ -554,7 +560,7 @@ class Eject(LoweredOp):
         self.end = offset + lanes.size
 
     def run(self, st: BatchState) -> None:
-        st.axons[self.slot][:, self.offset:self.end] |= st.regs[self.reg][:, self.lanes]
+        st.axons[self.slot][self.offset:self.end] |= st.regs[self.reg][self.lanes]
 
     def effects(self) -> Tuple[List[_Key], List[_Key]]:
         return [("reg", self.reg)], [("axons", self.slot)]

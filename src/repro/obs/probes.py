@@ -381,22 +381,23 @@ class ScheduleProbeRun:
                            for name, _ in self._acc_buffers}
 
     def capture(self, state, step: int) -> None:
-        """Record end-of-timestep state for every frame of the batch."""
+        """Record end-of-timestep state for every frame of the batch (its
+        arrays are lane-major, ``(lanes, frames)``)."""
         for name, sites in self._spike_sites:
             column = self.spikes[name][:, step]
             for slot, lanes in sites:
-                column += state.spike_reg[slot][:, lanes].sum(axis=1)
+                column += state.spike_reg[slot][lanes].sum(axis=0)
         for name, sites in self._pot_sites:
             target = self.potentials[name]
             offset = 0
             for slot, lanes in sites:
                 target[:, step, offset:offset + lanes.size] = \
-                    state.potential[slot][:, lanes]
+                    state.potential[slot][lanes].T
                 offset += lanes.size
         for name, buffers in self._acc_buffers:
             column = self.acc_active[name][:, step]
             for slot, readers in buffers:
-                column += state.axons[slot].sum(axis=1) * readers
+                column += state.axons[slot].sum(axis=0) * readers
 
     def result(self) -> ProbeResult:
         telemetry = None

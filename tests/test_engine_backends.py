@@ -256,6 +256,34 @@ class TestAnalyticStats:
         assert result.stats.ops["core_ld_wt"].operations == 1
 
 
+class TestLaneMajorInput:
+    def test_batch_wider_than_one_transpose_block(self, arch, dense_snn, rng):
+        """A batch of 150 frames spans three of the input transpose's
+        64-frame blocks: every frame, those at the block edges included,
+        gets the spike counts and ACC activity of a ``reference`` run of
+        that frame alone, and the batch equals ``optimize=False``."""
+        program = ir_compile(dense_snn, arch).program
+        trains = rng.random((150, dense_snn.timesteps,
+                             program.input_size)) < 0.3
+        with create_backend("vectorized", program) as backend:
+            batch = backend.run(trains)
+        with create_backend("vectorized", program, optimize=False) as plain:
+            unoptimized = plain.run(trains)
+        np.testing.assert_array_equal(batch.spike_counts,
+                                      unoptimized.spike_counts)
+        np.testing.assert_array_equal(batch.frame_active_axons,
+                                      unoptimized.frame_active_axons)
+        assert batch.stats.summary() == unoptimized.stats.summary()
+        with create_backend("reference", program) as reference:
+            for frame in (0, 63, 64, 127, 128, 149):
+                alone = reference.run(trains[frame:frame + 1])
+                np.testing.assert_array_equal(batch.spike_counts[frame],
+                                              alone.spike_counts[0])
+                assert (batch.frame_active_axons[frame]
+                        == alone.stats.active_axons)
+        assert batch.spike_counts.sum() > 0
+
+
 class TestPerRunStatsIsolation:
     def test_backend_runs_do_not_accumulate(self, arch, rng):
         weights = rng.integers(0, 3, size=(arch.core_inputs, arch.core_neurons))

@@ -408,6 +408,24 @@ class TestFloat32Accumulate:
             np.testing.assert_array_equal(results[name].spike_counts,
                                           baseline.spike_counts)
             assert results[name].stats.summary() == baseline.stats.summary()
+        _assert_activity_per_frame(program, trains)
+
+
+def _assert_activity_per_frame(program, trains):
+    """Each frame's ACC activity (``frame_active_axons``) on ``vectorized``
+    and ``sharded`` equals ``optimize=False`` and a ``reference`` run of
+    that frame alone, and the batch's stats equal ``optimize=False``."""
+    with create_backend("reference", program) as reference:
+        expected = [reference.run(trains[i:i + 1]).stats.active_axons
+                    for i in range(len(trains))]
+    for backend, options in (("vectorized", {}),
+                             ("vectorized", {"optimize": False}),
+                             ("sharded", {"workers": 2})):
+        with create_backend(backend, program, **options) as instance:
+            result = instance.run(trains)
+        assert result.frame_active_axons.tolist() == expected, (backend,
+                                                                options)
+    _assert_matches_unoptimized(program, trains)
 
 
 #: 4x4 cores with 6-bit partial sums: the PS range is [-32, 31]
@@ -851,15 +869,17 @@ def _conv_program(rows=32, lanes=32, narrow_last=False, seed=21):
     return program
 
 
-def _shared_leaf_program(conv, trees=2, seed=22):
+def _shared_leaf_program(conv, trees=2, seed=22, unused=0):
     """Layer ``tree``: reduction trees A -> B (root B) and, with
     ``trees=2``, E -> C (root C), every leaf fed the same 32 inputs.
     Both leaves of a tree read one buffer, so in the merged GEMM their
     weights land on the same rows and columns and must add up.  ``conv``
-    gives every leaf conv-shaped weights, else dense ones."""
+    gives every leaf conv-shaped weights, else dense ones.  ``unused``
+    more inputs land on axons 32 upward, which no leaf weighs: they spike
+    outside every member's used rows."""
     rng = np.random.default_rng(seed)
     leaves = [(A, B), (E, C)][:trees]
-    program = Program(arch=CONV_ARCH, rows=2, cols=2, input_size=32,
+    program = Program(arch=CONV_ARCH, rows=2, cols=2, input_size=32 + unused,
                       output_size=32 * trees)
     acc = program.new_phase("tree/accumulate").new_group()
     reduce = program.new_phase("tree/reduce")
@@ -874,7 +894,7 @@ def _shared_leaf_program(conv, trees=2, seed=22):
                 tile=tile, weights=weights,
                 thresholds=np.full(32, 4, dtype=np.int64)))
             program.input_bindings.append(InputBinding(
-                tile=tile, indices=np.arange(32)))
+                tile=tile, indices=np.arange(32 + unused)))
             acc.add(tile, CoreAccumulate())
         reduce.new_group().add(leaf, PsSend(dst=Direction.EAST))
         reduce.new_group().add(root, PsSum(src=Direction.WEST))
@@ -951,11 +971,14 @@ class TestGroupedGemm:
                               rng.random((4, 4, program.input_size)) < 0.5,
                               probes=ProbeSet.full())
 
+    @pytest.mark.parametrize("unused", [0, 8], ids=["inside", "spill"])
     @pytest.mark.parametrize("conv", [True, False], ids=["grouped", "dense"])
-    def test_overlapping_leaf_blocks_add(self, conv):
+    def test_overlapping_leaf_blocks_add(self, conv, unused):
         """Both leaves of each tree read one buffer: all four ACCs read it,
-        and each tree's two leaf blocks overlap in the merged GEMM."""
-        program = _shared_leaf_program(conv)
+        and each tree's two leaf blocks overlap in the merged GEMM.  With
+        ``unused`` inputs the buffer also spikes on axons no member
+        weighs, which the ACC activity still counts."""
+        program = _shared_leaf_program(conv, unused=unused)
         gemm, = _gemms(program)
         assert isinstance(gemm, GroupedAccumulate) == conv
         assert [readers for *_, readers in gemm.inputs] == [4]
@@ -972,9 +995,39 @@ class TestGroupedGemm:
                 np.testing.assert_array_equal(
                     gemm.window[:, 32 * output:32 * (output + 1)], total)
         rng = np.random.default_rng(26)
-        baseline = _assert_parity_everywhere(
-            program, rng.random((4, 5, 32)) < 0.5, probes=ProbeSet.full())
+        trains = rng.random((4, 5, 32 + unused)) < 0.5
+        baseline = _assert_parity_everywhere(program, trains,
+                                             probes=ProbeSet.full())
         assert baseline.spike_counts.sum() > 0
+        _assert_activity_per_frame(program, trains)
+
+
+class TestCountInGemm:
+    """A float32 GEMM op counts its ACC activity with one GEMV of its
+    readers row over the cast it builds (``op.counts``) only where every
+    lane written into each buffer it reads lies inside the rows it gathers
+    from it; any other op counts each whole bool buffer."""
+
+    def test_counted_only_where_writes_stay_inside(self):
+        # four cores share one buffer: each gathered row has four readers
+        grouped, = _gemms(_conv_program())
+        assert grouped.counts.dtype == np.float32
+        assert grouped.counts.tolist() == [4.0] * 32
+        for conv in (True, False):
+            gemm, = _gemms(_shared_leaf_program(conv))
+            assert gemm.counts.tolist() == [4.0] * 32
+            spilled, = _gemms(_shared_leaf_program(conv, unused=8))
+            assert spilled.counts is None
+        # both tiles' inputs land outside their weight windows
+        accs = [op for op in optimize_schedule(lower_program(
+            _window_program())).ops if isinstance(op, FusedAccumulate)]
+        assert [op.counts for op in accs] == [None, None]
+        # a folded pool-style ACC counts over every member's rows
+        folded, solo = [op for op in optimize_schedule(lower_program(
+            _scanned_member_program())).ops
+            if isinstance(op, FusedAccumulate)]
+        assert folded.counts.tolist() == [1.0] * (3 * 4)
+        assert solo.counts.tolist() == [1.0] * 4
 
 
 class TestDropUnreadPackets:
@@ -1089,7 +1142,7 @@ class TestRegisterAllocation:
             assert state.dtype == schedule.state_dtype(steps) == np.int32
             assert set(state.regs) == used
             for reg, array in state.regs.items():
-                assert array.shape == (3, dense_program.arch.core_neurons)
+                assert array.shape == (dense_program.arch.core_neurons, 3)
                 assert array.dtype == (state.dtype
                                        if schedule.reg_nets[reg] == "ps"
                                        else np.bool_)
@@ -1135,7 +1188,7 @@ class TestRegisterAllocation:
                      if not array.flags.writeable]
         assert unwritten
         for array in unwritten:
-            assert array.shape == (3, dense_program.arch.core_neurons)
+            assert array.shape == (dense_program.arch.core_neurons, 3)
             assert not array.any()
         with pytest.raises(ValueError, match="read-only"):
             unwritten[0][:, 0] = 1
@@ -1348,7 +1401,7 @@ class TestLayerFolding:
             # the receivers are the only rows of their blocks
             assert op.block_rows == (slice(0, 3, 1),) * 3
             width = op.idx.stop - op.idx.start
-            assert op.thresholds.shape == (3, 1, width)
+            assert op.thresholds.shape == (3, width, 1)
             assert op.thresholds.dtype == np.int32
         rng = np.random.default_rng(25)
         trains = rng.random((6, 6, 12)) < 0.6
@@ -1403,6 +1456,7 @@ class TestLayerFolding:
             steps = 3
         trains = np.random.default_rng(27).random(
             (3, steps, program.input_size)) < 0.5
+        arch = program.arch
         for schedule in (lower_program(program),
                          optimize_schedule(lower_program(program))):
             state = schedule.allocate(3, schedule.state_dtype(steps))
@@ -1411,10 +1465,13 @@ class TestLayerFolding:
             registers = dict(state.regs)
             for kind, slots in schedule.rows.items():
                 if kind != "reg":
+                    width = (arch.core_inputs if kind == "axons"
+                             else arch.core_neurons)
+                    assert state.blocks[kind].shape == (len(slots), width, 3)
                     for row, slot in enumerate(slots):
                         assert views[kind][slot].base is state.blocks[kind]
             for step in range(steps):
-                state.begin_timestep(trains[:, step])
+                state.begin_timestep(np.ascontiguousarray(trains[:, step].T))
                 for op in schedule.inject_ops + schedule.ops:
                     op.run(state)
                     for kind, arrays in views.items():
@@ -1473,11 +1530,12 @@ def _check_declared_effects(schedule, rng, frames=2):
         return array
 
     def pair(kind_dtype, width):
-        """A random read-only array, and one that differs everywhere."""
+        """A random read-only lane-major ``(width, frames)`` array, and one
+        that differs everywhere."""
         if kind_dtype == np.bool_:
-            a = rng.random((frames, width)) < 0.5
+            a = rng.random((width, frames)) < 0.5
             return frozen(a), frozen(~a)
-        a = rng.integers(-span, span, (frames, width), dtype=kind_dtype)
+        a = rng.integers(-span, span, (width, frames), dtype=kind_dtype)
         return frozen(a), frozen(a + rng.integers(1, span, a.shape,
                                                   dtype=kind_dtype))
 
@@ -1488,7 +1546,7 @@ def _check_declared_effects(schedule, rng, frames=2):
         tiles[kind] = [pair(kind_dtype, width)
                        for _ in range(schedule.n_slots)]
     regs = {}
-    inputs = rng.random((frames, schedule.program.input_size)) < 0.5
+    inputs = rng.random((schedule.program.input_size, frames)) < 0.5
 
     def start(key):
         """``key``'s values in A and in B before the op runs."""

@@ -123,7 +123,7 @@ def test_table3b_cnn_runs_its_convs_grouped(rng):
     optimized = create_backend("vectorized", program)
     ops = optimized.schedule.ops
     grouped = [op for op in ops if isinstance(op, GroupedAccumulate)]
-    assert sorted(op.rows.shape + op.columns.shape[1:] for op in grouped) \
+    assert sorted(op.rows.shape + op.weights.shape[1:2] for op in grouped) \
         == [(196, 9, 16)] * 4 + [(196, 144, 32)]
     for op in grouped:
         assert op.window is None and op.weights.size < op.depth * op.width

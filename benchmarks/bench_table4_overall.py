@@ -38,9 +38,9 @@ PAPER_ROWS = {
 
 CONFIGS = {
     # Both MNIST experiments cycle-verify the FULL test split
-    # (hardware_frames=-1) through backend="auto": the optimized vectorized /
-    # sharded engine makes cycle-level verification of every test frame
-    # affordable, so the "Shenjing Accu." row is simulated, not estimated.
+    # (hardware_frames=-1) through backend="auto": the optimized vectorized
+    # engine makes cycle-level verification of every test frame affordable,
+    # so the "Shenjing Accu." row is simulated, not estimated.
     "mnist-mlp": ExperimentConfig(
         name="mnist-mlp", model_builder=build_mnist_mlp, dataset="mnist",
         timesteps=20, target_fps=40, train_epochs=4, train_size=600, test_size=120,

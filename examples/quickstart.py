@@ -9,10 +9,10 @@ the same spikes as the abstract SNN — the paper's central property.
 
 The backend is selectable: the cycle-level ``reference`` interpreter, the
 batched ``vectorized`` backend (bit-exact, with an optimizer pass over the
-lowered schedule), the multiprocess ``sharded`` backend, or ``auto`` (the
-default), which picks one of the others from the batch size.
+lowered schedule), or ``auto`` (the default), which picks one of the others
+from the batch size.
 
-Run with:  python examples/quickstart.py [--backend auto|reference|vectorized|sharded]
+Run with:  python examples/quickstart.py [--backend auto|reference|vectorized]
       or:  python examples/quickstart.py --list-networks [name ...]
 
 ``--list-networks`` enumerates every benchmark builder in
@@ -67,8 +67,7 @@ def list_networks(names=None, calibration_samples: int = 4, seed: int = 0) -> No
 
 
 def main(backend: str = "auto", check_parity: bool = True,
-         optimize_noc: bool = False, show_trace: bool = False,
-         inject_fault: str | None = None) -> None:
+         optimize_noc: bool = False, show_trace: bool = False) -> None:
     rng = np.random.default_rng(0)
 
     # A 40-24-5 spiking MLP.  Each 16x16 core holds at most 16 inputs and 16
@@ -103,29 +102,10 @@ def main(backend: str = "auto", check_parity: bool = True,
         metrics = plan_metrics(compiled.routes)
         print(f"NoC-optimized: {metrics.wave_count} waves, per-timestep wave "
               f"depth {metrics.wave_depth}, {metrics.total_hops} hops")
-    if inject_fault is not None:
-        # Chaos demo: inject a deterministic fault into shard 1 of a
-        # supervised sharded run and let repro.resilience recover it.
-        from repro.engine import create_backend
-        from repro.resilience import FaultPlan, RunPolicy
-
-        plan = getattr(FaultPlan, inject_fault)(shard=1)
-        policy = RunPolicy(shard_timeout=2.0, max_retries=2, backoff=0.05)
-        backend = "sharded"
-        sharded = create_backend("sharded", compiled.program, workers=2,
-                                 policy=policy, faults=plan)
-        try:
-            hardware = sharded.run(spike_trains)
-        finally:
-            sharded.close()
-        print(f"\ninjected fault: {plan.describe()}")
-        print(hardware.resilience.describe())
-        engine = None
-    else:
-        engine = ExecutionEngine(compiled.program, backend=backend)
+    with ExecutionEngine(compiled.program, backend=backend) as engine:
         hardware = engine.run(spike_trains)
 
-    chosen = getattr(engine.backend(), "last_selection", None) if engine else None
+    chosen = getattr(engine.backend(), "last_selection", None)
     selected = f"{backend} -> {chosen}" if chosen else backend
     print(f"\nexecution backend: {selected} (available: {', '.join(list_backends())})")
     print("abstract SNN spike counts:")
@@ -143,7 +123,7 @@ def main(backend: str = "auto", check_parity: bool = True,
     if check_parity:
         report = assert_backend_parity(
             compiled.program, spike_trains,
-            backends=("reference", "vectorized", "sharded"))
+            backends=("reference", "vectorized"))
         print(f"\n{report.describe()}")
 
 
@@ -151,7 +131,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--backend", default="auto",
                         help="execution backend name "
-                             "(auto | reference | vectorized | sharded)")
+                             "(auto | reference | vectorized)")
     parser.add_argument("--no-parity", action="store_true",
                         help="skip the cross-backend parity check")
     parser.add_argument("--optimize-noc", action="store_true",
@@ -160,14 +140,6 @@ if __name__ == "__main__":
                              "delivery, reduction trees)")
     parser.add_argument("--trace", action="store_true",
                         help="print the per-step compile trace")
-    parser.add_argument("--inject-fault", metavar="KIND", default=None,
-                        choices=("crash", "hang", "exception", "slow",
-                                 "corrupt"),
-                        help="chaos demo: inject a deterministic fault "
-                             "(crash | hang | exception | slow | corrupt) "
-                             "into one shard of a supervised sharded run "
-                             "and print the repro.resilience recovery "
-                             "summary")
     parser.add_argument("--list-networks", nargs="*", metavar="NAME",
                         default=None,
                         help="list benchmark network builders with core/chip "
@@ -177,5 +149,4 @@ if __name__ == "__main__":
         list_networks(args.list_networks or None)
     else:
         main(backend=args.backend, check_parity=not args.no_parity,
-             optimize_noc=args.optimize_noc, show_trace=args.trace,
-             inject_fault=args.inject_fault)
+             optimize_noc=args.optimize_noc, show_trace=args.trace)

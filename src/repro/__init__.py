@@ -17,7 +17,7 @@ The package is organised as:
   the abstract SNN runner and the compile function;
 * :mod:`repro.opt` — NoC-aware placement & routing optimizations;
 * :mod:`repro.timing` — schedule-aware analytic cycle model;
-* :mod:`repro.engine` — batched/sharded execution backends;
+* :mod:`repro.engine` — batched execution backends;
 * :mod:`repro.bench` — the bench gate table of machine-independent checks
   (``python -m repro.bench --check``); speed on the paper's nets is
   measured by ``perfbench/``.

@@ -8,9 +8,8 @@ One call of :func:`run_experiment` reproduces one column of Table IV:
    toolchain (the "Mapping time" row);
 4. optionally cycle-simulate the mapped network on an execution backend of
    :mod:`repro.engine` (``backend="auto"`` by default, which picks the
-   cycle-level ``reference`` interpreter, the batched ``vectorized``
-   executor or the multiprocess ``sharded`` backend from the batch size —
-   all bit-exact) and check it reproduces the abstract SNN's predictions
+   cycle-level ``reference`` interpreter for one frame and the batched
+   ``vectorized`` executor for more — bit-exact either way) and check it reproduces the abstract SNN's predictions
    (the "Shenjing Accu." row — lossless by construction, verified by
    simulation); ``hardware_frames=-1`` cycle-verifies the full test split;
 5. estimate frequency, power and energy per frame with the architectural
@@ -43,7 +42,7 @@ from ..power.power_model import PowerModel, PowerReport
 from ..snn.conversion import ConversionConfig, convert_ann_to_graph
 from ..snn.encoding import encode, flatten_images
 from ..mapping.estimator import MappingEstimate, estimate_mapping
-from ..obs.profile import absorb_resilience, time_block
+from ..obs.profile import time_block
 
 
 class PipelineError(RuntimeError):
@@ -84,11 +83,6 @@ class ExperimentConfig:
     #: telemetry) to the hardware run; the probe summary lands in the
     #: result metadata.  Needs ``hardware_frames != 0`` to observe anything
     probes: bool = False
-    #: supervised execution policy (a :class:`repro.resilience.RunPolicy`)
-    #: forwarded to the ``sharded``/``auto`` hardware backends; shard
-    #: failures then retry/degrade instead of failing the experiment, and
-    #: the recovery record lands in ``metadata["resilience"]``
-    run_policy: Optional[object] = None
     #: collect wall-clock metrics (a :class:`repro.obs.MetricsRegistry`
     #: threaded through mapping, compile steps and the hardware run); the
     #: registry snapshot lands in ``metadata["metrics"]``.  Never changes
@@ -102,17 +96,6 @@ class ExperimentConfig:
             raise PipelineError("timesteps and target_fps must be positive")
         if self.train_epochs < 0 or self.train_size <= 0 or self.test_size <= 0:
             raise PipelineError("invalid training sizes")
-        if self.run_policy is not None:
-            from ..resilience import RunPolicy
-
-            if not isinstance(self.run_policy, RunPolicy):
-                raise PipelineError(
-                    f"run_policy must be a repro.resilience.RunPolicy, "
-                    f"got {type(self.run_policy).__name__}")
-            if self.backend not in ("sharded", "auto"):
-                raise PipelineError(
-                    f"run_policy requires the 'sharded' or 'auto' backend, "
-                    f"not {self.backend!r}")
         get_backend(self.backend)  # fail fast on unknown backends
 
 
@@ -237,7 +220,6 @@ def run_experiment(config: ExperimentConfig,
     hardware_matches: Optional[bool] = None
     execution_backend: Optional[str] = None
     probe_summary: Optional[Dict[str, object]] = None
-    resilience_summary: Optional[Dict[str, object]] = None
     if compiled is not None:
         if config.hardware_frames < 0:
             frames = dataset.test_size
@@ -248,11 +230,7 @@ def run_experiment(config: ExperimentConfig,
             from ..obs import ProbeSet
 
             probe_set = ProbeSet.firing_rates(noc=True)
-        backend_options: Dict[str, object] = {}
-        if config.run_policy is not None:
-            backend_options["policy"] = config.run_policy
-        backend_instance = create_backend(config.backend, compiled.program,
-                                          **backend_options)
+        backend_instance = create_backend(config.backend, compiled.program)
         try:
             hw_result = backend_instance.run(test_trains[:frames],
                                              probes=probe_set,
@@ -267,10 +245,6 @@ def run_experiment(config: ExperimentConfig,
             hw_result.spike_counts, snn_result.spike_counts[:frames]))
         if hw_result.probes is not None:
             probe_summary = hw_result.probes.summary()
-        if hw_result.resilience is not None:
-            resilience_summary = hw_result.resilience.as_dict()
-            # supervision events gain real durations in the same snapshot
-            absorb_resilience(registry, hw_result.resilience)
     else:
         # Mapping is lossless (verified by the test-suite for every layer
         # type), so the mapped accuracy equals the abstract SNN accuracy.
@@ -320,7 +294,6 @@ def run_experiment(config: ExperimentConfig,
             "optimize_noc": config.optimize_noc,
             "noc": noc_metrics,
             "probes": probe_summary,
-            "resilience": resilience_summary,
             "metrics": registry.as_dict() if registry is not None else None,
         },
     )

@@ -76,11 +76,6 @@ class SimulationResult:
     #: probe captures of the run (a :class:`repro.obs.ProbeResult`) when the
     #: backend was asked to observe; ``None`` otherwise
     probes: Optional[object] = None
-    #: recovery record of the run (a
-    #: :class:`repro.resilience.ResilienceReport`) when the backend ran
-    #: under a :class:`~repro.resilience.RunPolicy` or degraded to a
-    #: fallback backend; ``None`` otherwise
-    resilience: Optional[object] = None
     #: per-frame ``ACC`` switching activity (int64 vector of length
     #: ``frames``) when the run came off a lowered schedule — the one
     #: data-dependent statistic, frame-resolved so :mod:`repro.serve` can

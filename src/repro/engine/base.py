@@ -77,11 +77,11 @@ class ExecutionBackend(abc.ABC):
         """
 
     def close(self) -> None:
-        """Release backend-held resources (worker pools, ...); idempotent.
+        """Release backend-held resources (kept run states, ...);
+        idempotent.
 
-        The base implementation is a no-op; backends that own OS resources
-        (e.g. ``sharded``'s persistent worker pool) override it, and
-        ``auto`` forwards to its delegates.
+        The base implementation is a no-op; ``vectorized`` drops the run
+        states its schedule keeps, and ``auto`` forwards to its delegates.
         """
 
     def __enter__(self) -> "ExecutionBackend":

@@ -643,9 +643,9 @@ class LoweredSchedule:
     #: folded ops address these rows; the first :meth:`allocate` of an
     #: unoptimized schedule derives it
     rows: Optional[Dict[str, Tuple[int, ...]]] = None
-    #: the state the last run left for the next run of its frame count (see
-    #: :meth:`take_state`); at most one, per process, never pickled
-    _kept: Dict[str, BatchState] = field(default_factory=dict, init=False,
+    #: per frame part, the state its last run left for its next run of the
+    #: same frame count (see :meth:`take_state`); per process, never pickled
+    _kept: Dict[int, BatchState] = field(default_factory=dict, init=False,
                                          repr=False, compare=False)
 
     def __getstate__(self):
@@ -691,32 +691,37 @@ class LoweredSchedule:
                           arch.core_neurons, self.rows, self.reg_nets,
                           self.clear_plan, dtype)
 
-    def take_state(self, batch: int, timesteps: int) -> BatchState:
-        """Run state for ``batch`` frames of ``timesteps`` steps, owned by
-        the caller until it hands it back with :meth:`keep_state`.
+    def take_state(self, batch: int, timesteps: int,
+                   part: int = 0) -> BatchState:
+        """Run state for frame part ``part`` of ``batch`` frames and
+        ``timesteps`` steps, owned by the caller until it hands it back
+        with :meth:`keep_state`.
 
         Its dtype is :meth:`state_dtype` of ``timesteps``.  The state the
-        last run kept, reset, when it has ``batch`` frames and that dtype;
-        otherwise a fresh :meth:`allocate`.  Taking empties the keep in one
-        step, so concurrent runs never share a state.
+        part's last run kept, reset, when it has ``batch`` frames and that
+        dtype; otherwise a fresh :meth:`allocate`.  Taking empties the
+        part's keep in one step, so concurrent runs never share a state.
         """
         dtype = self.state_dtype(timesteps)
-        state = self._kept.pop("state", None)
+        state = self._kept.pop(part, None)
         if state is not None and state.batch == batch \
                 and state.dtype == dtype:
             state.reset()
             return state
         return self.allocate(batch, dtype)
 
-    def keep_state(self, state: BatchState) -> None:
-        """Keep ``state`` for the next run (replacing any kept one), without
-        the reference to its last run's input spikes."""
+    def keep_state(self, state: BatchState, part: int = 0) -> None:
+        """Keep ``state`` for frame part ``part``'s next run (replacing any
+        the part kept), without the reference to its last run's input
+        spikes."""
         state.inputs = None
-        self._kept["state"] = state
+        self._kept[part] = state
 
-    def drop_state(self) -> None:
-        """Free the kept state; the next run allocates afresh."""
-        self._kept.clear()
+    def drop_state(self, first_part: int = 0) -> None:
+        """Free the states kept for frame parts ``first_part`` and up (by
+        default every part's); their next runs allocate afresh."""
+        for part in [part for part in list(self._kept) if part >= first_part]:
+            self._kept.pop(part, None)
 
     @property
     def op_count(self) -> int:
@@ -754,46 +759,6 @@ class LoweredSchedule:
         stats.interchip_spike_bits = self.interchip_spike_bits_per_timestep * scale
         stats.interchip_ps_bits = self.interchip_ps_bits_per_timestep * scale
         return stats
-
-    def check_shard_result(self, counts, active_axons,
-                           frames: int) -> List[str]:
-        """Structural validation of one executor result payload.
-
-        The supervised sharded backend runs this over every worker-returned
-        shard so a corrupted payload — truncated array, wrong dtype,
-        impossible values — is caught (and the shard retried) before the
-        deterministic frame-axis merge.  Returns a list of problem
-        descriptions; empty means the payload is structurally sound.
-        """
-        problems: List[str] = []
-        expected = (frames, self.program.output_size)
-        if not isinstance(counts, np.ndarray):
-            problems.append(
-                f"spike counts are {type(counts).__name__}, not ndarray")
-        else:
-            if counts.shape != expected:
-                problems.append(
-                    f"spike counts shape {counts.shape} != expected {expected}")
-            if counts.dtype != np.int64:
-                problems.append(
-                    f"spike counts dtype {counts.dtype} != expected int64")
-            if counts.size and counts.min() < 0:
-                problems.append("negative spike counts")
-        if not isinstance(active_axons, np.ndarray):
-            problems.append(
-                f"active_axons is {type(active_axons).__name__}, not ndarray")
-        else:
-            if active_axons.shape != (frames,):
-                problems.append(
-                    f"active_axons shape {active_axons.shape} != "
-                    f"expected {(frames,)}")
-            if active_axons.dtype != np.int64:
-                problems.append(
-                    f"active_axons dtype {active_axons.dtype} != "
-                    "expected int64")
-            if active_axons.size and active_axons.min() < 0:
-                problems.append("negative active_axons")
-        return problems
 
 
 # ----------------------------------------------------------------------

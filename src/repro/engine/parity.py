@@ -53,8 +53,8 @@ def run_backends(program: Program, spike_trains: np.ndarray,
                  probes=None) -> Dict[str, SimulationResult]:
     """Run ``spike_trains`` through each named backend on fresh instances.
 
-    Every instance is closed after its run, so backends owning persistent
-    resources (the sharded worker pool) never outlive the check.
+    Every instance is closed after its run, so no backend's kept run state
+    outlives the check.
     """
     if len(backends) < 2:
         raise EngineError("parity needs at least two backends to compare")

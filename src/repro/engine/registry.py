@@ -51,8 +51,7 @@ def create_backend(name: str, program: Program,
     """Instantiate the backend ``name`` for ``program``.
 
     Extra keyword ``options`` are forwarded to the backend constructor
-    (e.g. ``workers=4`` for ``sharded``, ``optimize=False`` for
-    ``vectorized``); passing an option a backend does not accept raises
-    the usual ``TypeError``.
+    (e.g. ``optimize=False`` for ``vectorized``); passing an option a
+    backend does not accept raises the usual ``TypeError``.
     """
     return get_backend(name)(program, collect_stats=collect_stats, **options)

@@ -18,12 +18,26 @@ lowered schedule performs the same integer arithmetic on the same lanes in
 the same order — and :class:`~repro.core.stats.ExecutionStats` is
 reconstructed analytically from the static schedule (only the ``ACC``
 switching activity is measured from the data).
+
+Frames never interact, so a batch of at least ``2 * PART_FRAMES`` frames
+on a machine with more than one CPU runs as contiguous frame parts, one
+thread each (:func:`part_count`): part 0 on the calling thread, the others
+on helper threads started once per process.  Each part takes and keeps its
+own run state, and OpenBLAS runs on one thread while the parts do.  The
+merge concatenates counts, ``ACC`` activity and probe captures in part
+order, so a split run is bit-identical to an unsplit one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 import time
-from typing import Tuple
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +54,97 @@ from .registry import register_backend
 #: in 64-frame blocks, whose source rows stay in cache (2 vCPUs)
 _TRANSPOSE_FRAMES = 64
 
+#: fewest frames in a frame part: on the Table III(a) MLP (T=20, 2 vCPUs)
+#: a 1024-frame batch ran in 125-129 ms as two 512-frame parts against
+#: 165-169 ms whole, while at 256 and 512 frames the two were within noise
+PART_FRAMES = 512
+
+#: most frame parts a batch splits into
+MAX_PARTS = 8
+
+#: CPUs of this machine, one thread per part at most
+CPUS = os.cpu_count() or 1
+
+#: OpenBLAS thread-count setters, tried in this order: numpy's own wheel
+#: build, then ILP64 and LP64 system builds; each has a getter named with
+#: ``get`` for ``set``
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
+
+#: held for the whole of a split run, so no run restores the BLAS thread
+#: count while another split run still has it pinned
+_SPLIT_LOCK = threading.Lock()
+
+#: the helper threads parts 1, 2, ... run on, started at the first split
+#: run of the process and reused by every later one
+_helpers: Optional[ThreadPoolExecutor] = None
+
+
+def part_count(frames: int) -> int:
+    """How many contiguous frame parts a ``frames``-sized batch runs as,
+    one thread each: ``min(CPUS, MAX_PARTS, frames // PART_FRAMES)``, and
+    1 (no split) below 2."""
+    return max(1, min(CPUS, MAX_PARTS, frames // PART_FRAMES))
+
+
+def _openblas_libraries() -> List[ctypes.CDLL]:
+    """Every OpenBLAS shared library mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            lines = maps.read().splitlines()
+    except OSError:
+        return []
+    paths = set()
+    for line in lines:
+        fields = line.split(None, 5)  # address perms offset dev inode path
+        if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+            paths.add(fields[5])
+    libraries = []
+    for path in sorted(paths):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libraries
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_controls() -> Tuple[Tuple[object, object], ...]:
+    """``(get, set)`` of every loaded OpenBLAS that exports a pair named in
+    :data:`BLAS_THREAD_SETTERS` (none: the split leaves BLAS as it is),
+    looked up once per process."""
+    controls = []
+    for library in _openblas_libraries():
+        for name in BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            getter = getattr(library, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run OpenBLAS on one thread within the block, then restore each
+    library's own count: the parts' GEMMs then do not oversubscribe the
+    cores the parts already use."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
 
 def prepare_schedule(program: Program, optimize: bool = True) -> LoweredSchedule:
-    """Lower ``program`` and (by default) run the schedule optimizer.
-
-    The shared construction step of the ``vectorized`` and ``sharded``
-    backends, so both always execute the same schedule for the same options.
-    """
+    """Lower ``program`` and (by default) run the schedule optimizer."""
     schedule = lower_program(program)
     return optimize_schedule(schedule) if optimize else schedule
 
@@ -56,8 +154,7 @@ def build_result(schedule: LoweredSchedule, counts: np.ndarray,
                  collect_stats: bool) -> SimulationResult:
     """Assemble a :class:`SimulationResult` from executor output.
 
-    The shared epilogue of the ``vectorized`` and ``sharded`` backends:
-    predictions from the merged counts, statistics reconstructed
+    Predictions come from the counts, statistics are reconstructed
     analytically (or empty when disabled).  ``active_axons`` is the
     executor's per-frame measurement; it is kept on the result
     (``frame_active_axons``) so a coalesced batch can be decomposed back
@@ -76,12 +173,12 @@ def build_result(schedule: LoweredSchedule, counts: np.ndarray,
 
 
 def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
-                     collector=None, fault=None,
-                     metrics=None) -> Tuple[np.ndarray, np.ndarray]:
+                     collector=None, metrics=None,
+                     part: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Run a batch of spike trains through a lowered schedule.
 
-    The shared inner loop of the ``vectorized`` backend and the ``sharded``
-    backend's workers.  Returns ``(spike_counts, active_axons)``, the
+    The inner loop of the ``vectorized`` backend, run once per frame part.
+    Returns ``(spike_counts, active_axons)``, the
     latter a per-frame int64 vector of ``ACC`` switching activity (its sum
     is the batch statistic); statistics are reconstructed by the caller via
     :meth:`LoweredSchedule.build_stats`.  Neither aliases the run state.
@@ -91,24 +188,21 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
     frames)`` buffer, the lane-major layout of the run state, and the
     output counts gather into an ``(outputs, frames)`` array returned as
     ``(frames, outputs)``.
-    The run takes its state from the schedule
+    The run takes frame part ``part``'s state from the schedule
     (:meth:`LoweredSchedule.take_state`: int32 partial sums and
     potentials when the bounds prove ``timesteps`` steps fit, else int64)
     and keeps it there when it
-    returns, so the next run of the same frame count in this process only
-    zeroes the arrays the schedule writes instead of allocating them; a
-    run that raises leaves nothing kept.  The backends' ``close()`` drops
-    the kept state (:meth:`LoweredSchedule.drop_state`).
+    returns, so the part's next run of the same frame count in this
+    process only zeroes the arrays the schedule writes instead of
+    allocating them; a run that raises leaves nothing kept.  The backend's
+    ``close()`` drops the kept states (:meth:`LoweredSchedule.drop_state`).
     ``collector`` is an optional :class:`repro.obs.ScheduleProbeRun` whose
     ``capture`` runs once at the end of every timestep; with ``None`` the
-    hot loop is untouched beyond this one check.  ``fault`` is a test-only
-    :class:`repro.resilience.FaultInjector` whose ``before_timestep`` fires
-    at the top of each timestep — the same zero-cost single-``None``-check
-    pattern as the probe collector; production runs never set it.
+    hot loop is untouched beyond this one check.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`: work
-    counters (``schedule/frames``, ``schedule/frame_timesteps`` — shard
-    invariant, so sharded merges reproduce single-process values exactly),
+    counters (``schedule/frames``, ``schedule/frame_timesteps`` — they
+    add up over frame parts to the unsplit run's values),
     the ``schedule/ops`` gauge, a ``schedule/timestep`` duration histogram
     sampled for at most ``TIMESTEP_SAMPLE_LIMIT`` steps, and per-op-class
     ``kernels/<Op>`` buckets measured on the first timestep only.  Metrics
@@ -117,7 +211,7 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
     program = schedule.program
     spike_trains = normalise_spike_trains(spike_trains, program.input_size)
     frames, timesteps, _ = spike_trains.shape
-    state = schedule.take_state(frames, timesteps)
+    state = schedule.take_state(frames, timesteps, part)
     step_inputs = np.empty((program.input_size, frames), dtype=np.bool_)
     counts = np.zeros((program.output_size, frames), dtype=np.int64)
     ops = schedule.ops
@@ -134,8 +228,6 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
         step_hist = metrics.histogram("schedule/timestep")
         sample_limit = min(timesteps, TIMESTEP_SAMPLE_LIMIT)
     for step in range(timesteps):
-        if fault is not None:
-            fault.before_timestep(step)
         if step < sample_limit:
             tick = time.perf_counter()
         for first in range(0, frames, _TRANSPOSE_FRAMES):
@@ -169,13 +261,77 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
         if step < sample_limit:
             step_hist.observe(time.perf_counter() - tick)
     active_axons = state.active_axons.copy()
-    schedule.keep_state(state)
+    schedule.keep_state(state, part)
     return np.ascontiguousarray(counts.T), active_axons
+
+
+def _run_part(schedule: LoweredSchedule, spike_trains: np.ndarray,
+              resolved, metrics, part: int = 0):
+    """One frame part's ``(counts, active_axons, probe result or None)``;
+    ``resolved`` is the run's resolved probes, or ``None``."""
+    collector = None
+    if resolved is not None:
+        from ..obs.probes import ScheduleProbeRun
+
+        frames, timesteps, _ = spike_trains.shape
+        collector = ScheduleProbeRun(resolved, schedule, frames, timesteps)
+    counts, active_axons = execute_schedule(schedule, spike_trains,
+                                            collector, metrics, part)
+    return counts, active_axons, (collector.result()
+                                  if collector is not None else None)
+
+
+def _run_split(schedule: LoweredSchedule, spike_trains: np.ndarray,
+               parts: int, resolved, metrics):
+    """Run the batch as ``parts`` contiguous frame parts, part 0 on this
+    thread and the others on the helper threads, and merge them in part
+    order.
+
+    Each part records into its own :class:`repro.obs.MetricsRegistry`,
+    absorbed in part order.  Every part runs to its end before anything
+    is raised; then the error of the lowest-numbered part that raised is.
+    """
+    global _helpers
+    frames = spike_trains.shape[0]
+    size, extra = divmod(frames, parts)
+    starts = [part * size + min(part, extra) for part in range(parts + 1)]
+    registries = [None] * parts
+    if metrics is not None:
+        from ..obs.metrics import MetricsRegistry
+
+        registries = [MetricsRegistry(enabled=metrics.enabled)
+                      for _ in range(parts)]
+    with _SPLIT_LOCK, _one_blas_thread():
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(MAX_PARTS - 1,
+                                          thread_name_prefix="repro-part")
+        futures = [_helpers.submit(_run_part, schedule,
+                                   spike_trains[starts[part]:starts[part + 1]],
+                                   resolved, registries[part], part)
+                   for part in range(1, parts)]
+        try:
+            done = [_run_part(schedule, spike_trains[:starts[1]], resolved,
+                              registries[0])]
+        finally:
+            wait(futures)
+    done += [future.result() for future in futures]
+    counts = np.concatenate([part[0] for part in done])
+    active_axons = np.concatenate([part[1] for part in done])
+    probe_result = None
+    if resolved is not None:
+        from ..obs.probes import ProbeResult
+
+        probe_result = ProbeResult.concat([part[2] for part in done])
+    if metrics is not None:
+        for registry in registries:
+            metrics.absorb(registry)
+    return counts, active_axons, probe_result
 
 
 @register_backend
 class VectorizedBackend(ExecutionBackend):
-    """Executes all frames of a batch at once on the lowered schedule."""
+    """Executes all frames of a batch at once on the lowered schedule,
+    large batches as frame parts on threads."""
 
     name = "vectorized"
 
@@ -186,7 +342,7 @@ class VectorizedBackend(ExecutionBackend):
         self.schedule: LoweredSchedule = prepare_schedule(program, optimize)
 
     def close(self) -> None:
-        """Free the run state the last run kept (idempotent)."""
+        """Free the run states the last runs kept (idempotent)."""
         self.schedule.drop_state()
 
     def run(self, spike_trains: np.ndarray,
@@ -199,19 +355,20 @@ class VectorizedBackend(ExecutionBackend):
         spike_trains = normalise_spike_trains(spike_trains,
                                               self.program.input_size)
         frames, timesteps, _ = spike_trains.shape
+        parts = part_count(frames)
         with span(metrics, "run/vectorized/setup"):
-            collector = None
-            if probes:
-                from ..obs.probes import ScheduleProbeRun
-
-                collector = ScheduleProbeRun(probes.resolve(self.program),
-                                             self.schedule, frames, timesteps)
+            resolved = probes.resolve(self.program) if probes else None
         with span(metrics, "run/vectorized/timesteps"):
-            counts, active_axons = execute_schedule(
-                self.schedule, spike_trains, collector, metrics=metrics)
+            if parts > 1:
+                counts, active_axons, probe_result = _run_split(
+                    self.schedule, spike_trains, parts, resolved, metrics)
+            else:
+                counts, active_axons, probe_result = _run_part(
+                    self.schedule, spike_trains, resolved, metrics)
+            # a run of fewer parts frees what the parts it left out kept
+            self.schedule.drop_state(parts)
         with span(metrics, "run/vectorized/merge"):
             result = build_result(self.schedule, counts, active_axons,
                                   frames, timesteps, self.collect_stats)
-            if collector is not None:
-                result.probes = collector.result()
+            result.probes = probe_result
         return result

@@ -162,6 +162,10 @@ class LayerGraph:
         """Append a concatenation node over ``inputs`` (wiring only)."""
         if len(inputs) < 2:
             raise GraphError(f"concat {name!r} needs at least two inputs")
+        if len(set(inputs)) != len(inputs):
+            raise GraphError(
+                f"concat {name!r} lists an input more than once "
+                f"({list(inputs)})")
         if GRAPH_INPUT in inputs:
             raise GraphError(
                 f"concat {name!r}: concatenating the external input is not "
@@ -293,8 +297,13 @@ class LayerGraph:
                 raise GraphError(f"unknown node kind {node.kind!r}")
 
     def _check_acyclic(self) -> None:
-        """Kahn's algorithm over the stored edges (independent of insertion)."""
-        indegree = {name: len(node.inputs) for name, node in self.nodes.items()}
+        """Kahn's algorithm over the stored edges (independent of insertion).
+
+        An edge is a distinct producer: a join may add two contributions of
+        one node, which :meth:`consumers` lists once.
+        """
+        indegree = {name: len(set(node.inputs))
+                    for name, node in self.nodes.items()}
         ready = [name for name, degree in indegree.items() if degree == 0]
         seen = 0
         while ready:

@@ -17,11 +17,11 @@ Four legs, one subsystem:
   compile passes through execution timesteps, exportable as Chrome
   ``trace_event`` JSON and structured metrics.
 * **Wall-clock metrics & profiling** (:mod:`repro.obs.metrics`,
-  :mod:`repro.obs.profile`): a picklable, deterministically-mergeable
+  :mod:`repro.obs.profile`): a deterministically-mergeable
   :class:`MetricsRegistry` (counters, gauges, log-bucket histograms with
-  p50/p95/p99) fed by span-based profiling of the compile pipeline, every
-  backend's run phases, and the sharded worker lifecycle
-  (``backend.run(trains, metrics=...)``), exported as OpenMetrics text
+  p50/p95/p99) fed by span-based profiling of the compile pipeline and
+  every backend's run phases (``backend.run(trains, metrics=...)``),
+  exported as OpenMetrics text
   (:func:`render_openmetrics`), JSON, and a real-time Chrome-trace track.
 
 ``python -m repro.obs <network>`` prints a full report; see
@@ -63,7 +63,6 @@ from .metrics import (
 from .profile import (
     TIMESTEP_SAMPLE_LIMIT,
     Stopwatch,
-    absorb_resilience,
     span,
     stopwatch,
     time_block,
@@ -90,7 +89,6 @@ __all__ = [
     "Stopwatch",
     "TIMESTEP_SAMPLE_LIMIT",
     "Trace",
-    "absorb_resilience",
     "compare_link_traffic",
     "default_bounds",
     "link_key_str",

@@ -102,7 +102,6 @@ def main(argv=None) -> int:
                                      telemetry)
     trace = Trace.from_compiled(compiled, probes=result.probes,
                                 timesteps=args.timesteps,
-                                resilience=result.resilience,
                                 wallclock=registry)
     predictions = np.asarray(result.predictions).tolist()
 

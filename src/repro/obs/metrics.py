@@ -2,24 +2,24 @@
 
 ``repro.obs`` (PR 6) reproduced the paper's *model-time* observability —
 cycle-priced traces, probes, NoC telemetry.  This module adds the
-*real-time* axis: a picklable :class:`MetricsRegistry` that backends,
-the compile pipeline, and the sharded worker lifecycle all write into,
-with deterministic cross-process merging and OpenMetrics/JSON export.
+*real-time* axis: a :class:`MetricsRegistry` that backends and the
+compile pipeline write into, with a deterministic merge of the registries
+a split run's frame parts record into, and OpenMetrics/JSON export.
 
 Design contract (mirrors the probe hooks in ``execute_schedule``):
 
 * **Disabled is free.**  A registry constructed with ``enabled=False``
   (and the ``metrics=None`` default everywhere) costs a single ``None``
   or attribute check per call site — hot loops stay hot.
-* **Deterministic merge.**  :meth:`MetricsRegistry.absorb` is applied in
-  shard-index order, exactly like ``ExecutionStats`` merging.  Counters
+* **Deterministic merge.**  ``vectorized`` runs a large batch as frame
+  parts on threads, each recording into its own registry, and
+  :meth:`MetricsRegistry.absorb` merges them in part order.  Counters
   add, gauges take the max, histograms add bucket counts.  Counters are
   reserved for *work counts* (frames, timesteps, ops) so their merged
-  values are bit-identical regardless of worker count; wall-clock values
-  live in histograms and spans.
-* **Picklable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
-  plain-data deep copy that crosses the ``ProcessPoolExecutor`` boundary
-  alongside shard results.
+  values are bit-identical whether or not the run split; wall-clock
+  values live in histograms and spans.
+* **Snapshots.**  :meth:`MetricsRegistry.snapshot` returns a plain-data
+  deep copy (a server hands it out while its sessions keep recording).
 """
 from __future__ import annotations
 
@@ -343,8 +343,8 @@ class MetricsRegistry:
     def absorb(self, other: "MetricsRegistry", track: str = "") -> None:
         """Merge ``other`` into self; optionally re-tag its span tracks.
 
-        Called in shard-index order by the sharded backend so the merged
-        registry is deterministic for a given shard decomposition.
+        Called in part order by a split ``vectorized`` run so the merged
+        registry is deterministic for a given frame split.
         """
         for name, c in other.counters.items():
             self.counter(name).inc(c.value)

@@ -13,7 +13,7 @@ and output lanes, the ``accumulate`` phase's ``ACC`` operations locate its
 core tiles.  Deriving the points from the bare
 :class:`~repro.mapping.program.Program` keeps the API backend-agnostic —
 the same :class:`ProbeSet` resolves identically for the ``reference``
-interpreter, the lowered ``vectorized`` schedule and ``sharded`` workers,
+interpreter and the lowered ``vectorized`` schedule (whole or in frame parts),
 which is what makes bit-identical probe results across backends possible
 (see :func:`repro.engine.parity.assert_backend_parity`).
 
@@ -304,10 +304,10 @@ class ProbeResult:
                        if self.telemetry is not None else None),
         )
 
-    # -- merging (sharded backend) -------------------------------------
+    # -- merging (split vectorized runs) -------------------------------
     @staticmethod
     def concat(parts: Sequence["ProbeResult"]) -> "ProbeResult":
-        """Deterministic frame-axis merge of per-shard results (in order)."""
+        """Deterministic frame-axis merge of per-part results (in order)."""
         if not parts:
             raise ProbeError("cannot merge zero probe results")
         first = parts[0]

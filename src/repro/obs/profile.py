@@ -19,13 +19,6 @@ The span *naming convention* is a slash-separated path:
 ``kernels/<Op>``
     per-op-class buckets of the schedule executor, one histogram per
     lowered op class, measured on the first timestep only.
-``sharded/<phase>``
-    worker-pool lifecycle: ``fork``, ``shard`` (the worker-side run,
-    re-tagged onto a ``shard<i>`` track by the merge), ``backoff``,
-    ``merge``.
-``resilience/<kind>``
-    supervision events, with real durations from
-    ``ResilienceReport.timeline()``.
 """
 from __future__ import annotations
 
@@ -41,7 +34,6 @@ __all__ = [
     "stopwatch",
     "span",
     "time_block",
-    "absorb_resilience",
 ]
 
 #: per-timestep duration sampling stops after this many steps per run,
@@ -103,17 +95,3 @@ def time_block(metrics: Optional[MetricsRegistry], name: str,
         watch.__exit__()
         if metrics is not None:
             metrics.record_span(name, watch.seconds, track=track)
-
-
-def absorb_resilience(metrics: Optional[MetricsRegistry], report) -> None:
-    """Surface ``ResilienceReport`` events as resilience-track spans.
-
-    Uses ``report.timeline()`` so each event carries a real duration
-    (time until the next event on the same shard) instead of the
-    instantaneous offsets the report records natively.
-    """
-    if metrics is None or report is None:
-        return
-    for event, duration in report.timeline():
-        metrics.record_span("resilience/" + str(event.kind), float(duration),
-                            track="resilience", start=float(event.elapsed))

@@ -6,7 +6,7 @@ program, not by the spikes it carries.  :class:`NocTelemetry` therefore
 stores exact run totals that are reproducible bit-for-bit across backends
 — the ``reference`` interpreter tallies every packet it moves, the
 ``vectorized`` backend scales the per-timestep traffic the lowerer
-recorded by ``frames * timesteps``, and ``sharded`` shards sum.  Equality
+recorded by ``frames * timesteps``, and a split run's frame parts sum.  Equality
 of the two derivations is itself a parity check of the lowering.
 
 The same per-link keys — ``(tile the hop leaves, direction, net)`` — are
@@ -43,7 +43,7 @@ class NocTelemetry:
     directed link over the *whole run*; ``group_packets[g]`` counts the
     packets injected at per-timestep group position ``g`` over the whole
     run (the wave-occupancy profile).  Totals are additive, which is what
-    makes the sharded frame-axis merge exact.
+    makes the frame-part merge of a split run exact.
     """
 
     frames: int
@@ -143,13 +143,13 @@ class NocTelemetry:
     # -- merging -------------------------------------------------------
     @staticmethod
     def merge(parts: Sequence["NocTelemetry"]) -> "NocTelemetry":
-        """Sum run totals across shards (frame-axis split of one run)."""
+        """Sum run totals across frame parts (frame-axis split of one run)."""
         if not parts:
             raise ValueError("cannot merge zero telemetry parts")
         if any(part.timesteps != parts[0].timesteps for part in parts):
             raise ValueError(
                 "telemetry parts disagree on timesteps; they cannot be "
-                "shards of one run"
+                "frame parts of one run"
             )
         merged = NocTelemetry(
             frames=sum(part.frames for part in parts),

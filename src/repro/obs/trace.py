@@ -27,11 +27,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-#: trace_event process ids of the four tracks
+#: trace_event process ids of the three tracks
 COMPILE_PID = 1
 EXECUTION_PID = 2
-RESILIENCE_PID = 3
-WALLCLOCK_PID = 4
+WALLCLOCK_PID = 3
 
 
 @dataclass
@@ -43,11 +42,9 @@ class Trace:
     records work too); ``timing`` the execution-side
     :class:`~repro.timing.TimingEstimate`; ``probes`` an optional
     :class:`~repro.obs.ProbeResult` from an actual probed run;
-    ``resilience`` an optional :class:`~repro.resilience.ResilienceReport`
-    whose events (retries, crashes, degradations) render with real
-    durations on a third track; ``wallclock`` an optional
+    ``wallclock`` an optional
     :class:`~repro.obs.MetricsRegistry` (or snapshot) whose spans render
-    as a fourth, real-time track — the cycle-priced tracks are untouched,
+    as a third, real-time track — the cycle-priced tracks are untouched,
     so model-time and wall-clock views sit side by side.
     """
 
@@ -57,15 +54,12 @@ class Trace:
     probes: Optional[object] = None
     #: timesteps rendered on the execution track
     timesteps: int = 1
-    #: resilience report of the run (third trace track), if any
-    resilience: Optional[object] = None
-    #: wall-clock metrics registry of the run (fourth trace track), if any
+    #: wall-clock metrics registry of the run (third trace track), if any
     wallclock: Optional[object] = None
 
     @classmethod
     def from_compiled(cls, compiled, probes: Optional[object] = None,
                       timesteps: Optional[int] = None,
-                      resilience: Optional[object] = None,
                       wallclock: Optional[object] = None) -> "Trace":
         """Build the trace of one :class:`~repro.ir.CompiledNetwork`.
 
@@ -82,7 +76,6 @@ class Trace:
             timing=timing,
             probes=probes,
             timesteps=timesteps,
-            resilience=resilience,
             wallclock=wallclock,
         )
 
@@ -136,39 +129,6 @@ class Trace:
                             "args": {"timestep": step, "cycles": int(cycles)},
                         })
                         cursor += cycles
-        resilience_events = getattr(self.resilience, "events", None)
-        if resilience_events:
-            events.append(_metadata(RESILIENCE_PID, "resilience"))
-            timeline = getattr(self.resilience, "timeline", None)
-            pairs = (timeline() if callable(timeline)
-                     else [(event, 0.0) for event in resilience_events])
-            for event, duration in pairs:
-                if duration > 0:
-                    # real duration: the window the shard spent failed
-                    # (until its retry / the report's last observation)
-                    events.append({
-                        "name": f"resilience/{event.kind}",
-                        "cat": "resilience",
-                        "ph": "X",
-                        "ts": float(event.elapsed) * 1e6,
-                        "dur": float(duration) * 1e6,
-                        "pid": RESILIENCE_PID,
-                        "tid": 1 + (event.shard or 0),
-                        "args": event.as_dict(),
-                    })
-                else:
-                    # zero-length window: fall back to an instant marker;
-                    # "s": "p" scopes the marker to its process
-                    events.append({
-                        "name": f"resilience/{event.kind}",
-                        "cat": "resilience",
-                        "ph": "i",
-                        "ts": float(event.elapsed) * 1e6,
-                        "pid": RESILIENCE_PID,
-                        "tid": 1 + (event.shard or 0),
-                        "s": "p",
-                        "args": event.as_dict(),
-                    })
         wallclock_spans = getattr(self.wallclock, "spans", None)
         if wallclock_spans:
             events.append(_metadata(WALLCLOCK_PID, "wallclock"))
@@ -217,8 +177,6 @@ class Trace:
             payload["execution"] = self.timing.as_dict()
         if self.probes is not None:
             payload["probes"] = self.probes.summary()
-        if self.resilience is not None:
-            payload["resilience"] = self.resilience.as_dict()
         if self.wallclock is not None:
             payload["wallclock"] = self.wallclock.as_dict()
         return payload
@@ -231,10 +189,6 @@ class Trace:
                          f"  {getattr(record, 'summary', '')}")
         if self.timing is not None:
             lines.append(self.timing.describe())
-        resilience_events = getattr(self.resilience, "events", None)
-        if resilience_events:
-            lines.append(f"resilience events ({len(resilience_events)}):")
-            lines.append(self.resilience.describe())
         if self.wallclock is not None:
             lines.append(self.wallclock.describe())
         return "\n".join(lines)

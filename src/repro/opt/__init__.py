@@ -17,7 +17,7 @@ per-link congestion histograms) and the three optimizations
 ``ExperimentConfig(optimize_noc=True)`` turns them on for an experiment.
 Optimized compiles stay bit-exact (outputs and
 :class:`~repro.core.stats.ExecutionStats`) across the
-reference/vectorized/sharded backends.
+reference and vectorized backends.
 
 Usage
 -----

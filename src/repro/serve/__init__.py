@@ -9,13 +9,11 @@ resident and answers a stream of single-frame requests against it:
   server-level :class:`~repro.obs.MetricsRegistry` with OpenMetrics
   export;
 * :class:`Session` (the ``server.load(model)`` handle) — bounded FIFO
-  request queue with typed admission control, a dynamic batcher that
-  coalesces single-frame requests under the policy's latency budget,
-  backend crossover selection seeded from :mod:`repro.engine.auto`, a
-  warm persistent sharded worker pool, and graceful degradation to
-  ``vectorized`` when supervision fails;
+  request queue with typed admission control, and a dynamic batcher that
+  coalesces single-frame requests under the policy's latency budget and
+  runs each batch ``vectorized``;
 * :class:`ServePolicy` — the tunables (batch window, max batch, queue
-  bound, crossover thresholds, resilience policy);
+  bound);
 * :class:`InferenceResponse` / :class:`PendingRequest` — per-request
   results and future-style handles.
 

@@ -3,9 +3,7 @@
 Admission control and deadline policy reject with *typed* errors so a
 client can tell "try again later" (:class:`QueueFullError`), "you waited
 too long" (:class:`DeadlineExceededError`) and "the server is gone"
-(:class:`ServerClosedError`) apart without string matching — the same
-posture as the :class:`~repro.resilience.ResilienceError` hierarchy one
-layer down.
+(:class:`ServerClosedError`) apart without string matching.
 """
 
 from __future__ import annotations

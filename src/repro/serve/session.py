@@ -5,11 +5,9 @@ single-frame requests against it.  Requests enter a bounded FIFO queue
 (:meth:`Session.submit` / :meth:`Session.infer`); a dispatcher thread
 holds the oldest request for at most the policy's ``batch_window`` while
 more requests arrive, then coalesces the FIFO prefix (up to
-``max_batch``, same timestep count) into one batch, picks the backend
-from the batch size (:meth:`~repro.serve.ServePolicy.select_backend` —
-the ``auto`` crossover policy), runs it on the session's cached
-:class:`~repro.engine.ExecutionEngine`, and splits the batched result
-back into per-request responses.
+``max_batch``, same timestep count) into one batch, runs it ``vectorized``
+on the session's cached :class:`~repro.engine.ExecutionEngine`, and
+splits the batched result back into per-request responses.
 
 **The bit-exactness contract.**  A frame served through a coalesced
 batch returns exactly what a standalone ``reference`` run of that frame
@@ -28,9 +26,7 @@ and probes alike.  Three properties make the decomposition exact:
 A deterministic program error (e.g. partial-sum overflow) raised by a
 coalesced batch is re-tried frame by frame, so only the offending
 request fails — a batchmate must never poison a frame that would have
-succeeded standalone.  Supervision failures of the sharded pool
-(:class:`~repro.resilience.ResilienceError`) degrade the batch to
-``vectorized`` — bit-identical, just slower — unless ``strict``.
+succeeded standalone.
 """
 
 from __future__ import annotations
@@ -39,12 +35,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.simulator import SimulationError
-from ..resilience import ResilienceError
 from .errors import (
     DeadlineExceededError,
     QueueFullError,
@@ -141,49 +136,26 @@ class Session:
         self.probes = probes
         self._metrics = metrics
         self._metrics_lock = metrics_lock or threading.Lock()
-        sharded: Dict[str, object] = {}
-        if policy.workers is not None:
-            sharded["workers"] = policy.workers
-        if policy.run_policy is not None:
-            sharded["policy"] = policy.run_policy
-        if policy.faults is not None:
-            sharded["faults"] = policy.faults
-        self.engine = ExecutionEngine(compiled.program,
-                                      backend_options={"sharded": sharded})
+        self.engine = ExecutionEngine(compiled.program)
         self._cond = threading.Condition()
         self._queue: Deque[_Request] = deque()
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._flush = False
         self._submitted = 0
-        #: most recent dispatch: backend name the crossover policy picked
-        self.last_selection: Optional[str] = None
         #: most recent dispatch: how many requests rode the batch
         self.last_batch_size = 0
-        #: degradation trail: ``(from, to, reason)`` per engaged fallback
-        self.last_degradation: List[Tuple[str, str, str]] = []
         #: per-dispatch log of ``(backend, request sequences)`` — FIFO
         #: fairness is auditable: each batch is a contiguous arrival prefix
         self.batch_log: List[Tuple[str, Tuple[int, ...]]] = []
         #: responses completed so far
         self.served = 0
-        self._warm()
+        # lowered now, so the first request is served at steady-state latency
+        self.engine.backend("vectorized")
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _warm(self) -> None:
-        """Pre-build the backends a request could hit.
-
-        The vectorized schedule is always lowered eagerly (every batch
-        size can use it); when the policy's crossover can select
-        ``sharded``, the persistent worker pool is forked now so the
-        first heavy batch is served at steady-state latency.
-        """
-        self.engine.backend("vectorized")
-        if self.policy.select_backend(self.policy.max_batch) == "sharded":
-            self.engine.backend("sharded").warm_pool()
-
     def _normalise(self, frames: np.ndarray) -> np.ndarray:
         """Validate a request payload down to one ``(1, T, input)`` frame."""
         frame = np.asarray(frames, dtype=bool)
@@ -335,13 +307,12 @@ class Session:
         if not live:
             return
         trains = np.concatenate([request.frame for request in live], axis=0)
-        name = self.policy.select_backend(len(live))
-        self.last_selection = name
         self.last_batch_size = len(live)
         self.batch_log.append(
-            (name, tuple(request.sequence for request in live)))
+            ("vectorized", tuple(request.sequence for request in live)))
+        backend = self.engine.backend("vectorized")
         try:
-            result, used = self._execute(name, trains)
+            result = backend.run(trains, probes=self.probes)
         except SimulationError as exc:
             if len(live) == 1:
                 live[0].fail(exc)
@@ -361,7 +332,7 @@ class Session:
         self._observe("serve/batch_size", float(len(live)))
         self._observe("serve/batch_latency", finished - started)
         timesteps = live[0].timesteps
-        schedule = self.engine.backend(used).schedule
+        schedule = backend.schedule
         per_frame = result.frame_active_axons
         for index, request in enumerate(live):
             response = InferenceResponse(
@@ -370,7 +341,7 @@ class Session:
                 stats=schedule.build_stats(1, timesteps, per_frame[index]),
                 probes=(result.probes.frame(index)
                         if result.probes is not None else None),
-                backend=used,
+                backend=backend.name,
                 batch_size=len(live),
                 queued_seconds=started - request.enqueued,
                 latency_seconds=finished - request.enqueued,
@@ -378,25 +349,6 @@ class Session:
             self._observe("serve/request_latency", response.latency_seconds)
             self.served += 1
             request.resolve(response)
-
-    def _execute(self, name: str, trains: np.ndarray):
-        """Run one coalesced batch, degrading sharded -> vectorized.
-
-        The serving chain stops at ``vectorized`` (unlike ``auto``'s,
-        which ends at ``reference``): only schedule-executing backends
-        carry the per-frame measurements the response decomposition
-        needs, and vectorized execution cannot fail at supervision level.
-        """
-        try:
-            backend = self.engine.backend(name)
-            return backend.run(trains, probes=self.probes), name
-        except ResilienceError as exc:
-            if self.policy.strict or name == "vectorized":
-                raise
-            self.last_degradation.append((name, "vectorized", str(exc)))
-            self._count("serve/degraded")
-            backend = self.engine.backend("vectorized")
-            return backend.run(trains, probes=self.probes), "vectorized"
 
     # ------------------------------------------------------------------
     # Metrics plumbing (all no-ops without a registry)

@@ -108,6 +108,11 @@ class ConvSpec:
             )
         if self.stride <= 0 or self.pad < 0:
             raise SpecError(f"{self.name}: invalid stride/pad")
+        if self.pad >= self.kernel:
+            # a border output would then read nothing but padding
+            raise SpecError(
+                f"{self.name}: pad {self.pad} must be smaller than the "
+                f"kernel {self.kernel}")
         if self.threshold <= 0:
             raise SpecError(f"{self.name}: threshold must be positive")
         if self.scale <= 0:

@@ -47,8 +47,7 @@ def _values():
                 "net.reduction.wave_depth": 0.40,
                 "net.reduction.estimated_cycles": 0.30},
         "firing": {"net.fc1": 0.125, "net.fc2": 0.5},
-        "overhead": {"supervision": _wall(0.01, -0.02, 0.03),
-                     "metrics": _wall(0.01, 0.0, 0.02),
+        "overhead": {"metrics": _wall(0.01, 0.0, 0.02),
                      "probes": _wall(0.70, 0.68, 0.72)},
     }
 
@@ -207,8 +206,16 @@ class TestCheckMetricsRegression:
         values = _changed("overhead", "metrics", _wall(0.05, 0.03, 0.07))
         assert _verdicts(values)[("overhead", "metrics")] == "ok"
 
+    def test_overhead_exactly_at_ceiling_passes(self):
+        values = _changed("overhead", "metrics", _wall(0.05))
+        assert _verdicts(values)[("overhead", "metrics")] == "ok"
+
     def test_overhead_beyond_ceiling_flagged(self):
         values = _changed("overhead", "metrics", _wall(0.10, 0.06, 0.14))
+        assert _verdicts(values)[("overhead", "metrics")] == "FAIL"
+
+    def test_overhead_far_beyond_ceiling_flagged(self):
+        values = _changed("overhead", "metrics", _wall(0.25, 0.20, 0.30))
         assert _verdicts(values)[("overhead", "metrics")] == "FAIL"
 
     def test_improvements_never_fail(self):
@@ -244,40 +251,14 @@ class TestCheckMetricsRegression:
         assert bench_main.main(["--check", str(path)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
-
-class TestCheckResilienceRegression:
-    def test_identical_sections_pass(self):
-        assert _verdicts(_values())[("overhead", "supervision")] == "ok"
-
-    def test_supervision_overhead_at_ceiling_passes(self):
-        values = _changed("overhead", "supervision", _wall(0.05))
-        assert _verdicts(values)[("overhead", "supervision")] == "ok"
-
-    def test_supervision_overhead_beyond_ceiling_flagged(self):
-        values = _changed("overhead", "supervision",
-                          _wall(0.25, 0.20, 0.30))
-        assert _verdicts(values)[("overhead", "supervision")] == "FAIL"
-
-    def test_improvements_never_fail(self):
-        values = _changed("overhead", "supervision", _wall(-0.3, -0.4, -0.2))
-        assert _verdicts(values)[("overhead", "supervision")] == "ok"
-
-    def test_cli_gates_on_resilience_section(self, tmp_path, fake_rows,
-                                             capsys):
-        path = _write(tmp_path)
-        fake_rows["values"]["overhead"]["supervision"] = \
-            _wall(0.25, 0.20, 0.30)
-        assert bench_main.main(["--check", str(path)]) == 1
-        assert "FAILED" in capsys.readouterr().out
-
-    def test_unresolved_supervision_does_not_fail_the_check(
+    def test_unresolved_metrics_does_not_fail_the_check(
             self, tmp_path, fake_rows, capsys):
         path = _write(tmp_path)
-        fake_rows["values"]["overhead"]["supervision"] = \
+        fake_rows["values"]["overhead"]["metrics"] = \
             _wall(0.07, -0.01, 0.12)
         assert bench_main.main(["--check", str(path)]) == 0
         line = next(line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("overhead") and "supervision" in line)
+                    if line.startswith("overhead") and "metrics" in line)
         assert "unresolved" in line and "[-0.01, 0.12]" in line
 
 

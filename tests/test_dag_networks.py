@@ -3,8 +3,9 @@
 The acceptance property of the layer-graph compiler: the inception-lite
 MNIST net (two-branch channel concat) and the multi-skip CIFAR net (nested
 addition joins) convert, compile through the pass pipeline, and run
-bit-exactly — abstract graph runner == hardware, and
-reference/vectorized/sharded agree on counts, predictions *and statistics*.
+bit-exactly — abstract graph runner == hardware, and reference and
+vectorized (whole and split into frame parts) agree on counts, predictions
+*and statistics*.
 """
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.nn.model import Branches, Sequential
 from repro.nn.training import SGD, Trainer
 from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode
+
+from frame_split import forced_split
 
 
 def _convert_small(builder, rng, timesteps=6):
@@ -123,10 +126,9 @@ class TestDagAcceptance:
         hardware = engine_run(compiled.program, trains, backend="vectorized")
         np.testing.assert_array_equal(abstract.spike_counts,
                                       hardware.spike_counts)
-        report = assert_backend_parity(
-            compiled.program, trains,
-            backends=("reference", "vectorized", "sharded"))
-        assert set(report.results) == {"reference", "vectorized", "sharded"}
+        assert_backend_parity(compiled.program, trains)
+        with forced_split():
+            assert_backend_parity(compiled.program, trains)
 
 
 @pytest.mark.slow

@@ -30,8 +30,7 @@ SPAN_RE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 SYMBOL_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 EXPECTED_DOCS = ("architecture.md", "pipeline.md", "backends.md",
-                 "timing.md", "observability.md", "resilience.md",
-                 "serving.md")
+                 "timing.md", "observability.md", "serving.md")
 
 
 def doc_files():

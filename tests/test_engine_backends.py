@@ -58,8 +58,18 @@ def _single_core_program(arch, weights, threshold=4):
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = list_backends()
-        assert {"reference", "vectorized", "sharded", "auto"} <= set(names)
+        assert set(names) == {"auto", "reference", "vectorized"}
         assert DEFAULT_BACKEND in names
+
+    def test_process_pool_backend_is_gone(self, arch):
+        """One parallel path: ``vectorized`` splits large batches itself,
+        and the process-pool backend is an unknown name."""
+        weights = np.ones((arch.core_inputs, arch.core_neurons), dtype=np.int16)
+        program = _single_core_program(arch, weights)
+        with pytest.raises(EngineError,
+                           match=r"unknown execution backend 'sharded' "
+                                 r"\(available: auto, reference, vectorized\)"):
+            create_backend("sharded", program)
 
     def test_create_backend_rejects_unknown_options(self, arch):
         weights = np.ones((arch.core_inputs, arch.core_neurons), dtype=np.int16)

@@ -6,6 +6,8 @@ statistics between the ``reference`` interpreter and the ``vectorized``
 batch executor, across multi-frame batches and edge cases.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,8 @@ from repro.mapping.program import (
     TileConfig,
 )
 from repro.snn import deterministic_encode
+
+from frame_split import forced_split
 
 #: 4x4 cores with 6-bit partial sums: the PS range is [-32, 31]
 OVERFLOW_ARCH = ArchitectureConfig(core_inputs=4, core_neurons=4, chip_rows=2,
@@ -135,8 +139,9 @@ class TestMlpParity:
 class TestConvParity:
     def test_multi_frame_batch(self, conv_program, conv_snn, conv_inputs):
         trains = deterministic_encode(conv_inputs, conv_snn.timesteps)
-        assert_backend_parity(conv_program, trains,
-                              backends=("reference", "vectorized", "sharded"))
+        assert_backend_parity(conv_program, trains)
+        with forced_split():
+            assert_backend_parity(conv_program, trains)
 
     def test_single_frame(self, conv_program, conv_snn, conv_inputs):
         trains = deterministic_encode(conv_inputs[:1], conv_snn.timesteps)
@@ -163,12 +168,11 @@ class TestErrorPaths:
         with pytest.raises(SimulationError):
             create_backend(backend, dense_program).run(bad)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized", "sharded"])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "split"])
     def test_overflow_raises_same_error_class(self, backend):
         """Partial-sum overflow fails the same way on every backend, in the
         core's ACC and in a router SUM alike."""
-        options = {"workers": 2} if backend == "sharded" else {}
-        # 4 frames: the sharded backend runs 2 per worker, not in-process
+        # 4 frames: the split runs them as three frame parts
         trains = np.ones((4, 3, 4), dtype=bool)
         cases = (
             (_acc_overflow_program(), NeuronCoreError,
@@ -176,8 +180,10 @@ class TestErrorPaths:
             (_sum_overflow_program(), PsRouterError,
              r"partial-sum overflow outside \[-32, 31\]"),
         )
+        name = "vectorized" if backend == "split" else backend
         for program, error, match in cases:
-            with create_backend(backend, program, **options) as instance:
+            with forced_split() if backend == "split" else nullcontext(), \
+                    create_backend(name, program) as instance:
                 with pytest.raises(error, match=match):
                     instance.run(trains)
 
@@ -205,10 +211,10 @@ class TestSlowParitySweeps:
     def test_mlp_32_frame_sweep(self, dense_program, dense_snn, rng):
         inputs = rng.random((32, dense_snn.input_size))
         trains = deterministic_encode(inputs, dense_snn.timesteps)
-        report = assert_backend_parity(
-            dense_program, trains,
-            backends=("reference", "vectorized", "sharded"))
+        report = assert_backend_parity(dense_program, trains)
         assert report.baseline.spike_counts.shape[0] == 32
+        with forced_split():
+            assert_backend_parity(dense_program, trains)
 
     def test_conv_sweep_across_seeds(self, conv_program, conv_snn):
         for seed in range(3):

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.ir import GRAPH_INPUT, GraphError, LayerGraph, compile as ir_compile
+from repro.engine import run as engine_run
+from repro.ir import (
+    GRAPH_INPUT,
+    GraphError,
+    GraphSnnRunner,
+    LayerGraph,
+    compile as ir_compile,
+)
 from repro.nn.layers import Conv2D, ReLU
 from repro.nn.model import ResidualBlock, Sequential
 from repro.snn.conversion import convert_ann_to_graph
+from repro.snn.encoding import deterministic_encode
 from repro.snn.spec import ConvSpec, DenseSpec
 
 
@@ -74,6 +82,37 @@ class TestGraphConstruction:
         a = graph.add_layer(_dense(rng, "a", 12, 8))
         with pytest.raises(GraphError, match="external input"):
             graph.add_concat("cat", [a, GRAPH_INPUT])
+
+    def test_concat_of_one_input_twice_rejected(self, rng):
+        graph = LayerGraph("toy", (12,))
+        a = graph.add_layer(_dense(rng, "a", 12, 8))
+        with pytest.raises(GraphError, match="more than once"):
+            graph.add_concat("cat", [a, a])
+
+    @pytest.mark.parametrize("optimize_noc", [False, True])
+    def test_join_of_two_contributions_from_one_node(self, conv_arch, rng,
+                                                     optimize_noc):
+        """A 3x3 and a 1x1 conv of one map, added: the join has one
+        producer, which it reads twice.  It validates, compiles and runs
+        bit for bit like the abstract runner."""
+        graph = LayerGraph("twice", (6, 6, 2), timesteps=4)
+        head = graph.add_layer(_conv(rng, "head", (6, 6, 2), 3))
+        graph.add_join("j", [(_conv(rng, "wide", (6, 6, 3), 3), head),
+                             (_conv(rng, "narrow", (6, 6, 3), 3, k=1, pad=0),
+                              head)])
+        graph.add_layer(_dense(rng, "fc", 108, 4), input="j")
+        graph.validate()
+        assert [node.name for node in graph.topological()] == \
+            [GRAPH_INPUT, "head", "j", "fc"]
+        trains = deterministic_encode(rng.random((3, 72)), graph.timesteps)
+        abstract = GraphSnnRunner(graph).run_spike_trains(trains)
+        program = ir_compile(graph, conv_arch,
+                             optimize_noc=optimize_noc).program
+        for backend in ("reference", "vectorized"):
+            result = engine_run(program, trains, backend=backend)
+            np.testing.assert_array_equal(result.spike_counts,
+                                          abstract.spike_counts)
+        assert result.stats.active_axons > 0
 
     def test_cycle_detected_by_validate(self, rng):
         graph = LayerGraph("toy", (12,))

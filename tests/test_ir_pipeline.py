@@ -20,6 +20,8 @@ from repro.mapping import MappingError, verify_waves
 from repro.snn.encoding import deterministic_encode
 from repro.snn.spec import DenseSpec
 
+from frame_split import forced_split
+
 
 def _dense(rng, name, n_in, n_out, threshold=12):
     return DenseSpec(name=name, weights=rng.integers(-5, 6, size=(n_in, n_out)),
@@ -174,7 +176,8 @@ class TestDagCompilation:
 
     def test_dag_lossless_and_three_way_parity(self, arch, dag_graph, rng):
         """The acceptance property on the fixture DAG: abstract == hardware,
-        bit-exact (incl. stats) across reference/vectorized/sharded."""
+        bit-exact (incl. stats) across reference and vectorized, whole and
+        split into frame parts."""
         compiled = ir_compile(dag_graph, arch)
         trains = deterministic_encode(rng.random((5, dag_graph.input_size)),
                                       dag_graph.timesteps)
@@ -182,8 +185,9 @@ class TestDagCompilation:
         hardware = engine_run(compiled.program, trains, backend="vectorized")
         np.testing.assert_array_equal(abstract.spike_counts,
                                       hardware.spike_counts)
-        assert_backend_parity(compiled.program, trains,
-                              backends=("reference", "vectorized", "sharded"))
+        assert_backend_parity(compiled.program, trains)
+        with forced_split():
+            assert_backend_parity(compiled.program, trains)
 
     def test_concat_node_has_no_activity_entry(self, dag_graph, rng):
         """A concat only rewires its producers' spikes: activity is reported

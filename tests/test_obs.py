@@ -1,14 +1,15 @@
 """Tests for :mod:`repro.obs` — probes, NoC telemetry, unified traces.
 
 The load-bearing contract: probe results are **bit-identical** across the
-``reference``, ``vectorized`` and ``sharded`` backends for every small
-benchmark builder (checked through ``assert_backend_parity``), attaching
+``reference`` and ``vectorized`` backends, the latter whole and split into
+frame parts, for every small benchmark builder (checked through ``assert_backend_parity``), attaching
 no probes is a behavioural no-op, the observed NoC link traffic matches
 the cost model's prediction exactly, and the exported Chrome trace
 validates against the ``trace_event`` schema.
 """
 
 import json
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -33,13 +34,16 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.opt.cost import predicted_link_traffic
+
+from frame_split import forced_split
 from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode
 
 SMALL_BUILDERS = sorted(name for name in ALL_BUILDERS
                         if name.endswith("-small"))
 
-ALL_BACKENDS = ("reference", "vectorized", "sharded")
+#: backend names, and "split": ``vectorized`` split into frame parts
+ALL_BACKENDS = ("reference", "vectorized", "split")
 
 
 def _graph_for(name, rng, timesteps=5):
@@ -51,8 +55,18 @@ def _graph_for(name, rng, timesteps=5):
 
 def _probed_run(program, trains, backend="vectorized",
                 probes=None, **options):
-    with create_backend(backend, program, **options) as instance:
+    name = "vectorized" if backend == "split" else backend
+    with forced_split() if backend == "split" else nullcontext(), \
+            create_backend(name, program, **options) as instance:
         return instance.run(trains, probes=probes)
+
+
+def _assert_probe_parity(program, trains):
+    """Full probes agree bit for bit on ``reference`` and ``vectorized``,
+    whole and split into frame parts."""
+    assert_backend_parity(program, trains, probes=ProbeSet.full())
+    with forced_split():
+        assert_backend_parity(program, trains, probes=ProbeSet.full())
 
 
 # ----------------------------------------------------------------------
@@ -88,13 +102,12 @@ class TestProbeSet:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", SMALL_BUILDERS)
 def test_probe_parity_across_backends(name, rng):
-    """Full probes agree bit-for-bit on all three backends, every builder."""
+    """Full probes agree bit-for-bit on every backend, every builder."""
     graph = _graph_for(name, rng)
     compiled = ir_compile(graph, DEFAULT_ARCH)
     trains = deterministic_encode(rng.random((3, graph.input_size)),
                                   graph.timesteps)
-    assert_backend_parity(compiled.program, trains, backends=ALL_BACKENDS,
-                          probes=ProbeSet.full())
+    _assert_probe_parity(compiled.program, trains)
 
 
 def test_probe_parity_on_optimized_program(rng):
@@ -103,24 +116,23 @@ def test_probe_parity_on_optimized_program(rng):
     compiled = ir_compile(graph, DEFAULT_ARCH, optimize_noc=True)
     trains = deterministic_encode(rng.random((2, graph.input_size)),
                                   graph.timesteps)
-    assert_backend_parity(compiled.program, trains, backends=ALL_BACKENDS,
-                          probes=ProbeSet.full())
+    _assert_probe_parity(compiled.program, trains)
 
 
-def test_sharded_multi_shard_merge_matches_vectorized():
-    """Frame-axis merge across >1 shard reproduces the vectorized arrays."""
+def test_split_part_merge_matches_whole_run():
+    """Frame-axis merge across three frame parts reproduces the unsplit
+    arrays."""
     program, trains = mlp_bench_case(frames=5, timesteps=6)
     probes = ProbeSet.full()
     vectorized = _probed_run(program, trains, "vectorized", probes=probes)
-    sharded = _probed_run(program, trains, "sharded", probes=probes,
-                          workers=2)
+    split = _probed_run(program, trains, "split", probes=probes)
     for attr in ("spikes", "potentials", "acc_active"):
-        ours = getattr(sharded.probes, attr)
+        ours = getattr(split.probes, attr)
         theirs = getattr(vectorized.probes, attr)
         assert set(ours) == set(theirs)
         for layer in ours:
             np.testing.assert_array_equal(ours[layer], theirs[layer])
-    assert sharded.probes.telemetry.as_dict() == \
+    assert split.probes.telemetry.as_dict() == \
         vectorized.probes.telemetry.as_dict()
 
 

@@ -3,14 +3,14 @@
 The load-bearing contracts: attaching a :class:`MetricsRegistry` to any
 backend changes **nothing** about what the run computes (outputs, stats
 and probes stay bit-identical), the registry's deterministic part (work
-counters) is invariant across sharded worker counts for every small
-benchmark builder, snapshots pickle across process boundaries, merging
-is associative, and both exporters — OpenMetrics text and the Chrome
+counters) is invariant across frame-part counts for every small
+benchmark builder, snapshots pickle, merging is associative, and both exporters — OpenMetrics text and the Chrome
 trace's wall-clock track — pass their own validators.
 """
 
 import json
 import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ import pytest
 from repro.apps.networks import ALL_BUILDERS, seeded_benchmark_graph
 from repro.bench import mlp_bench_case
 from repro.core.config import DEFAULT_ARCH
-from repro.engine import create_backend
+from repro.engine import create_backend, vectorized
 from repro.ir import compile as ir_compile
 from repro.obs import (
     TIMESTEP_SAMPLE_LIMIT,
@@ -29,7 +29,6 @@ from repro.obs import (
     MetricsRegistry,
     ProbeSet,
     Trace,
-    absorb_resilience,
     render_openmetrics,
     span,
     stopwatch,
@@ -39,6 +38,8 @@ from repro.obs import (
 )
 from repro.obs.trace import EXECUTION_PID, WALLCLOCK_PID
 from repro.snn.encoding import deterministic_encode
+
+from frame_split import forced_split
 
 SMALL_BUILDERS = sorted(name for name in ALL_BUILDERS
                         if name.endswith("-small"))
@@ -251,18 +252,6 @@ class TestProfileHelpers:
             assert later.start == pytest.approx(
                 earlier.start + earlier.seconds)
 
-    def test_absorb_resilience_uses_timeline_durations(self):
-        from repro.resilience.report import ResilienceReport
-
-        report = ResilienceReport()
-        report.record("crash", shard=0)
-        report.record("retry", shard=0)
-        registry = MetricsRegistry()
-        absorb_resilience(registry, report)
-        names = [s.name for s in registry.spans]
-        assert names == ["resilience/crash", "resilience/retry"]
-        assert all(s.track == "resilience" for s in registry.spans)
-
 
 # ----------------------------------------------------------------------
 # Compile pipeline integration
@@ -283,21 +272,17 @@ def test_compile_mirrors_pass_records_into_metrics():
 # ----------------------------------------------------------------------
 # Backend integration: bit-identity and determinism
 # ----------------------------------------------------------------------
-def _backend_variants():
-    return [
-        ("reference", {}),
-        ("vectorized", {}),
-        ("sharded", {"workers": 2}),
-    ]
-
-
-@pytest.mark.parametrize("backend,options", _backend_variants(),
-                         ids=["reference", "vectorized", "sharded"])
-def test_metrics_do_not_change_results(backend, options):
-    """A metrics-on run is bit-identical to a metrics-off run everywhere."""
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "split"])
+def test_metrics_do_not_change_results(backend):
+    """A metrics-on run is bit-identical to a metrics-off run everywhere,
+    ``vectorized`` split into frame parts included."""
     program, trains = mlp_bench_case(frames=6, timesteps=5)
     probes = ProbeSet.full()
-    with create_backend(backend, program, **options) as instance:
+    split = backend == "split"
+    if split:
+        backend = "vectorized"
+    with forced_split() if split else nullcontext(), \
+            create_backend(backend, program) as instance:
         plain = instance.run(trains, probes=probes)
         registry = MetricsRegistry()
         metered = instance.run(trains, probes=probes, metrics=registry)
@@ -331,49 +316,31 @@ def test_vectorized_metrics_shape():
 
 
 @pytest.mark.parametrize("name", SMALL_BUILDERS)
-def test_sharded_metrics_deterministic_across_worker_counts(name, rng):
-    """Counters and outputs are invariant under the worker count."""
+def test_split_metrics_deterministic_across_part_counts(name, rng,
+                                                        monkeypatch):
+    """Counters and outputs are invariant under the frame-part count."""
     graph, _ = seeded_benchmark_graph(name, 3)
     compiled = ir_compile(graph, DEFAULT_ARCH)
     trains = deterministic_encode(rng.random((6, graph.input_size)), 3)
+    monkeypatch.setattr(vectorized, "PART_FRAMES", 1)
     rows = {}
-    for workers in (1, 2, 3):
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(vectorized, "CPUS", parts)
+        assert vectorized.part_count(len(trains)) == parts
         registry = MetricsRegistry()
-        with create_backend("sharded", compiled.program,
-                            workers=workers) as backend:
+        with create_backend("vectorized", compiled.program) as backend:
             result = backend.run(trains, metrics=registry)
-        rows[workers] = (result, registry)
+        rows[parts] = (result, registry)
     base_result, base_registry = rows[1]
     base_counters = {k: v.value for k, v in base_registry.counters.items()}
     assert base_counters["schedule/frames"] == 6.0
     assert base_counters["schedule/frame_timesteps"] == 18.0
-    for workers in (2, 3):
-        result, registry = rows[workers]
+    for parts in (2, 3):
+        result, registry = rows[parts]
         assert np.array_equal(result.spike_counts, base_result.spike_counts)
         assert result.stats == base_result.stats
         counters = {k: v.value for k, v in registry.counters.items()}
         assert counters == base_counters
-        # the shard gauge reflects the actual decomposition
-        assert registry.gauges["sharded/shards"].value == \
-            backend_shards(compiled.program, trains, workers)
-
-
-def backend_shards(program, trains, workers):
-    with create_backend("sharded", program, workers=workers) as backend:
-        return backend.shard_count(len(trains))
-
-
-def test_sharded_merge_tags_worker_spans():
-    program, trains = mlp_bench_case(frames=6, timesteps=3)
-    registry = MetricsRegistry()
-    with create_backend("sharded", program, workers=2) as backend:
-        backend.run(trains, metrics=registry)
-        shards = backend.shard_count(len(trains))
-    assert shards > 1
-    shard_tracks = {s.track.split("/", 1)[0] for s in registry.spans
-                    if s.track.startswith("shard")}
-    assert shard_tracks == {f"shard{i}" for i in range(shards)}
-    assert any(s.name == "sharded/merge" for s in registry.spans)
 
 
 # ----------------------------------------------------------------------

@@ -4,16 +4,14 @@ The aliasing bugs this file pins down:
 
 * two live session handles on *different* models must never share an
   engine, a backend instance, or a lowered schedule — mutable backend
-  state (scratch buffers, worker pools) crossing models would corrupt
-  results silently;
+  state (kept run states) crossing models would corrupt results
+  silently;
 * :class:`~repro.engine.ExecutionEngine` must key cached backends on
-  option *identity* for non-scalar options — two distinct mutable
-  configuration objects (equal ``repr`` included) must never collapse
-  onto one cached backend, because a later mutation through one owner
-  would silently reconfigure the other;
+  their configuration: equal options share one instance, a
+  ``collect_stats`` flip or a changed option gets its own;
 * ``ExecutionEngine.backend()`` must be thread-safe — concurrent
   resolvers of one configuration get one instance, not a raced
-  duplicate (and, for sharded, a leaked worker pool);
+  duplicate;
 * the :class:`~repro.serve.ArtifactCache` keys on *content*: an equal
   model rebuilt from scratch hits, any change to weights or options
   misses.
@@ -27,7 +25,6 @@ import pytest
 from repro.core.config import DEFAULT_ARCH
 from repro.engine import ExecutionEngine
 from repro.ir import LayerGraph, compile as ir_compile
-from repro.resilience import FaultPlan, RunPolicy
 from repro.serve import ArtifactCache, ServePolicy, Server, artifact_key
 from repro.snn import DenseSpec
 from repro.snn.encoding import deterministic_encode
@@ -132,34 +129,16 @@ class TestEngineCacheKey:
                 engine.backend("vectorized")
             assert len(engine._instances) == 1
 
-    def test_distinct_equal_repr_objects_never_collapse(self, program):
-        """The fixed gap: repr-keying collapsed two distinct mutable
-        option objects; a later mutation through one owner would have
-        silently reconfigured the other's cached backend."""
-        policy_a = RunPolicy(shard_timeout=60.0, max_retries=1, backoff=0.0)
-        policy_b = RunPolicy(shard_timeout=60.0, max_retries=1, backoff=0.0)
-        assert repr(policy_a) == repr(policy_b)
+    def test_changed_option_gets_its_own_instance(self, program):
         with ExecutionEngine(
                 program,
-                backend_options={"sharded": {"workers": 2,
-                                             "policy": policy_a}}) as engine:
-            first = engine.backend("sharded")
-            engine.backend_options["sharded"]["policy"] = policy_b
-            second = engine.backend("sharded")
-            assert first is not second
-            assert first.policy is policy_a
-            assert second.policy is policy_b
-
-    def test_distinct_fault_plans_never_collapse(self, program):
-        plan_a, plan_b = FaultPlan.crash(shard=0), FaultPlan.crash(shard=0)
-        assert repr(plan_a) == repr(plan_b)
-        with ExecutionEngine(
-                program,
-                backend_options={"sharded": {"workers": 2,
-                                             "faults": plan_a}}) as engine:
-            first = engine.backend("sharded")
-            engine.backend_options["sharded"]["faults"] = plan_b
-            assert engine.backend("sharded") is not first
+                backend_options={"vectorized": {"optimize": True}}) as engine:
+            optimized = engine.backend("vectorized")
+            engine.backend_options["vectorized"]["optimize"] = False
+            plain = engine.backend("vectorized")
+            assert plain is not optimized and not plain.optimize
+            engine.backend_options["vectorized"]["optimize"] = True
+            assert engine.backend("vectorized") is optimized
 
     def test_collect_stats_flip_never_reuses_stale_instance(self, program):
         with ExecutionEngine(program) as engine:

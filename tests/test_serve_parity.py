@@ -12,6 +12,7 @@ small builders, plus the degenerate shapes: a single request, a zero
 coalescing budget, and a batch budget larger than the queue bound.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.obs import ProbeSet
 from repro.serve import QueueFullError, ServePolicy, Server, Session
 from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 from repro.snn.encoding import deterministic_encode
+
+from frame_split import forced_split
 
 FRAMES = 6
 TIMESTEPS = 4
@@ -142,6 +145,59 @@ def test_full_batch_coalescing_bit_exact(name):
         responses = serve_all(session, handles)
     assert [response.batch_size for response in responses] == [FRAMES] * FRAMES
     for index, response in enumerate(responses):
+        assert_served_bit_exact(response, baselines[index])
+
+
+def test_split_batch_coalescing_bit_exact():
+    """A coalesced batch that ``vectorized`` splits into frame parts
+    decomposes exactly too."""
+    compiled, trains, baselines = case_for(PARITY_BUILDERS[1])
+    policy = ServePolicy(batch_window=SLOW_WINDOW, max_batch=FRAMES,
+                         queue_limit=FRAMES)
+    with forced_split(), Session("split", compiled, policy,
+                                 probes=ProbeSet.full()) as session:
+        handles = [session.submit(trains[index]) for index in range(FRAMES)]
+        responses = serve_all(session, handles)
+    assert [response.batch_size for response in responses] == [FRAMES] * FRAMES
+    for index, response in enumerate(responses):
+        assert_served_bit_exact(response, baselines[index])
+
+
+# ----------------------------------------------------------------------
+# Concurrency: many client threads, nothing lost, nothing wrong
+# ----------------------------------------------------------------------
+def test_concurrent_clients_lose_nothing():
+    """8 client threads x 3 requests each against one session: all 24
+    responses arrive and each is the right answer for its frame."""
+    compiled, trains, baselines = case_for(PARITY_BUILDERS[0])
+    policy = ServePolicy(batch_window=0.001, max_batch=FRAMES,
+                         queue_limit=64)
+    rounds = 3
+    clients = 8
+    results = {}
+    errors = []
+
+    with Session("swarm", compiled, policy, probes=ProbeSet.full()) as \
+            session:
+        def client(client_id):
+            try:
+                for round_id in range(rounds):
+                    index = (client_id + round_id) % FRAMES
+                    response = session.infer(trains[index], timeout=90.0)
+                    results[(client_id, round_id)] = (index, response)
+            except BaseException as exc:  # surfaced below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(client_id,))
+                   for client_id in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert session.served == clients * rounds
+        assert len(results) == clients * rounds
+    for index, response in results.values():
         assert_served_bit_exact(response, baselines[index])
 
 

@@ -1,14 +1,13 @@
-"""Serving policy behavior: admission, deadlines, fairness, crossover.
+"""Serving policy behavior: admission, deadlines, fairness, backend.
 
 What :class:`~repro.serve.ServePolicy` promises, observed from outside:
 a bounded queue rejects with the typed :class:`~repro.serve.QueueFullError`
 (never silent drops, never unbounded latency), an expired latency budget
 fails with :class:`~repro.serve.DeadlineExceededError` *instead of*
 executing late, dispatch order within a batch window is strict arrival
-order (auditable via ``Session.batch_log``), and the batcher's backend
-crossover follows the ``auto`` thresholds with ``reference`` disabled —
-small batches run ``vectorized``, heavy batches run ``sharded`` on the
-warm pool (``Session.last_selection``).
+order (auditable via ``Session.batch_log``), and every batch runs
+``vectorized`` — even a single frame, never the ``reference``
+interpreter.
 """
 
 import time
@@ -17,9 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DEFAULT_ARCH
-from repro.engine.auto import DEFAULT_SHARDED_MIN_FRAMES
 from repro.ir import LayerGraph, compile as ir_compile
-from repro.resilience import RunPolicy
 from repro.serve import (
     DeadlineExceededError,
     QueueFullError,
@@ -81,33 +78,17 @@ def pump(session, handles, timeout=60.0):
 
 
 # ----------------------------------------------------------------------
-# Policy construction + crossover thresholds
+# Policy construction
 # ----------------------------------------------------------------------
 class TestServePolicy:
-    def test_defaults_seeded_from_auto_crossovers(self):
-        policy = ServePolicy()
-        assert policy.sharded_min_frames == DEFAULT_SHARDED_MIN_FRAMES
-
     @pytest.mark.parametrize("kwargs", (
         {"batch_window": -0.1},
         {"max_batch": 0},
         {"queue_limit": 0},
-        {"sharded_min_frames": 0},
-        {"run_policy": "not-a-policy"},
-        {"faults": "not-a-plan"},
     ))
     def test_invalid_knobs_raise_typed_error(self, kwargs):
         with pytest.raises(ServeError):
             ServePolicy(**kwargs)
-
-    def test_reference_is_never_selected(self):
-        """The one deliberate difference from ``auto``: a single-frame
-        request runs vectorized, not the cycle-level interpreter."""
-        policy = ServePolicy(workers=2)
-        assert policy.select_backend(1) == "vectorized"
-        assert policy.select_backend(policy.sharded_min_frames) == "sharded"
-        assert policy.select_backend(
-            policy.sharded_min_frames - 1) == "vectorized"
 
     def test_as_dict_is_json_able(self):
         import json
@@ -243,70 +224,20 @@ class TestFairness:
 
 
 # ----------------------------------------------------------------------
-# Backend crossover under load
+# Backend
 # ----------------------------------------------------------------------
-class TestCrossover:
-    def test_light_load_stays_vectorized(self, case):
+class TestBackendChoice:
+    def test_single_frame_runs_vectorized(self, case):
+        """Serving never selects the cycle-level interpreter, which ``auto``
+        would pick for one frame."""
         compiled, trains = case
-        policy = ServePolicy(batch_window=0.0, sharded_min_frames=4,
-                             workers=2)
-        with Session("light", compiled, policy) as session:
+        with Session("light", compiled,
+                     ServePolicy(batch_window=0.0)) as session:
             response = session.infer(trains[0], timeout=60.0)
-            assert session.last_selection == "vectorized"
+            assert session.batch_log == [("vectorized", (0,))]
         assert response.backend == "vectorized"
-
-    def test_coalesced_heavy_load_crosses_to_sharded(self, case):
-        compiled, trains = case
-        policy = ServePolicy(batch_window=SLOW_WINDOW, max_batch=FRAMES,
-                             sharded_min_frames=4, workers=2,
-                             run_policy=RunPolicy(shard_timeout=60.0,
-                                                  max_retries=2, backoff=0.0))
-        with Session("heavy", compiled, policy) as session:
-            handles = [session.submit(trains[index])
-                       for index in range(FRAMES)]
-            responses = pump(session, handles)
-            assert session.last_selection == "sharded"
-            assert session.last_batch_size == FRAMES
-        assert {response.backend for response in responses} == {"sharded"}
-        # the crossover is a speed choice only: both executors bit-exact
-        light = ServePolicy(batch_window=0.0)
-        with Session("relight", compiled, light) as session:
-            single = [session.infer(trains[index], timeout=60.0)
-                      for index in range(FRAMES)]
-        for served, solo in zip(responses, single):
-            assert np.array_equal(served.spike_counts, solo.spike_counts)
-            assert served.prediction == solo.prediction
-            assert served.stats.summary() == solo.stats.summary()
-
-    def test_warm_pool_forked_at_load_time(self, case):
-        """When the crossover can pick sharded, load() pays the fork: the
-        pool's worker processes are running before any request."""
-        compiled, _ = case
-        policy = ServePolicy(batch_window=SLOW_WINDOW, max_batch=8,
-                             sharded_min_frames=4, workers=2)
-        with Session("warm", compiled, policy) as session:
-            backend = session.engine.backend("sharded")
-            assert backend.pool_alive
-            workers = list(backend._pool._processes.values())
-            assert len(workers) == 2
-            assert all(worker.is_alive() for worker in workers)
-            assert session.served == 0
-        cold = ServePolicy(batch_window=SLOW_WINDOW, max_batch=2,
-                           sharded_min_frames=4, workers=2)
-        with Session("cold", compiled, cold) as session:
-            # max_batch below the crossover: no pool is ever needed
-            assert "sharded" not in {
-                key[0] for key in session.engine._instances}
-
-    def test_default_policy_forks_no_pool(self, case):
-        """The default ``max_batch`` sits below the default crossover, so
-        loading a model with the default policy forks no worker pool."""
-        compiled, _ = case
-        policy = ServePolicy()
-        assert policy.max_batch < policy.sharded_min_frames
-        with Session("default", compiled, policy) as session:
-            assert "sharded" not in {
-                key[0] for key in session.engine._instances}
+        assert set(key[0] for key in session.engine._instances) == \
+            {"vectorized"}
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,24 @@ class TestConvSpec:
             ConvSpec(name="c", weights=np.ones((9, 9, 1, 1)), threshold=1,
                      input_shape=(4, 4, 1))
 
+    @pytest.mark.parametrize("kernel, pad", [(1, 1), (1, 2), (3, 3)])
+    def test_rejects_padding_past_the_kernel(self, kernel, pad):
+        """With ``pad >= kernel`` a border output reads only padding."""
+        with pytest.raises(SpecError, match="smaller than the kernel"):
+            ConvSpec(name="c", weights=np.ones((kernel, kernel, 1, 1)),
+                     threshold=1, input_shape=(5, 5, 1), pad=pad)
+
+    def test_padding_inside_the_kernel_compiles(self):
+        """The largest pad a kernel allows maps: every core reads an
+        input."""
+        from repro.core import small_test_arch
+        from repro.ir import LayerGraph, compile as ir_compile
+
+        spec = ConvSpec(name="c0", weights=np.ones((2, 2, 1, 2)), threshold=1,
+                        input_shape=(5, 5, 1), pad=1)
+        graph = LayerGraph.chain("pad", (5, 5, 1), [spec], timesteps=2)
+        assert ir_compile(graph, small_test_arch(16, 16)).core_count > 0
+
 
 class TestPoolSpec:
     def test_pool_spec_is_diagonal(self):

@@ -11,17 +11,21 @@ captures and overflow errors as an unsplit run, ``optimize=False`` and the
 import pickle
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro.apps.networks import ALL_BUILDERS
 from repro.core import ArchitectureConfig, CoreAccumulate, SpikeFire
+from repro.core.config import DEFAULT_ARCH
 from repro.core.neuron_core import NeuronCoreError
 from repro.core.tile import TileCoordinate
 from repro.engine import (
     AutoBackend,
+    ExecutionEngine,
     assert_backend_parity,
     create_backend,
     part_count,
@@ -35,6 +39,7 @@ from repro.mapping.program import (
 )
 from repro.obs import MetricsRegistry, ProbeSet
 from repro.snn import deterministic_encode
+from repro.snn.conversion import ConversionConfig, convert_ann_to_graph
 
 from frame_split import forced_split
 
@@ -102,6 +107,88 @@ def _error_of(backend, trains):
 def _blas_threads():
     """The thread count of every OpenBLAS the split pins."""
     return [get() for get, _ in vectorized._blas_thread_controls()]
+
+
+class _FailAtStep:
+    """A probe collector that raises at the end of timestep ``step``, with
+    the part's state half written, and forwards every other capture to the
+    run's own collector (if any)."""
+
+    def __init__(self, step, collector=None):
+        self.step, self.collector = step, collector
+
+    def capture(self, state, step):
+        if step == self.step:
+            raise RuntimeError(f"injected failure at step {step}")
+        if self.collector is not None:
+            self.collector.capture(state, step)
+
+
+def _fail_part(patch, failing, step=2):
+    """Within ``patch``, frame part ``failing`` of every run raises at the
+    end of timestep ``step``."""
+    original = vectorized.execute_schedule
+
+    def execute(schedule, spike_trains, collector=None, metrics=None,
+                part=0):
+        if part == failing:
+            collector = _FailAtStep(step, collector)
+        return original(schedule, spike_trains, collector, metrics, part)
+
+    patch.setattr(vectorized, "execute_schedule", execute)
+
+
+SMALL_BUILDERS = sorted(name for name in ALL_BUILDERS
+                        if name.endswith("-small"))
+
+_BUILDER_CASES = {}
+
+
+def _builder_case(name, optimize_noc):
+    """``(program, trains)``: small builder ``name`` converted at T=5 and
+    compiled on ``optimize_noc``'s pipeline, with 7 encoded frames (three
+    parts of 3, 2 and 2 under a forced split); built once per module."""
+    key = (name, optimize_noc)
+    if key not in _BUILDER_CASES:
+        rng = np.random.default_rng(11)
+        model = ALL_BUILDERS[name]()
+        config = ConversionConfig(timesteps=5, max_calibration_samples=4)
+        graph = convert_ann_to_graph(
+            model, rng.random((4,) + model.input_shape), config)
+        program = ir_compile(graph, DEFAULT_ARCH,
+                             optimize_noc=optimize_noc).program
+        trains = deterministic_encode(rng.random((7, graph.input_size)),
+                                      graph.timesteps)
+        _BUILDER_CASES[key] = program, trains
+    return _BUILDER_CASES[key]
+
+
+#: frame -> (core, step) at which that frame overflows its core's ACC, in
+#: a 4-frame batch on two cores that a forced split runs as parts (0, 1),
+#: (2) and (3)
+OVERFLOW_CASES = {
+    "last-part-only": {3: (0, 0)},
+    "first-part-earlier-step-wins": {0: (1, 1), 1: (0, 3)},
+    "first-part-second-frame-first": {0: (0, 3), 1: (1, 1)},
+    "middle-part-before-last": {2: (1, 0), 3: (0, 0)},
+    "every-part": {1: (0, 2), 2: (0, 0), 3: (1, 0)},
+    "one-step-two-cores": {0: (1, 2), 1: (0, 2)},
+}
+
+#: the frames of each part of a forced 4-frame split
+SPLIT_PARTS = ((0, 1), (2,), (3,))
+
+
+def _overflow_trains(overflows):
+    """4 frames of 4 steps on the two-core overflow program: each frame of
+    ``overflows`` turns on all four inputs of its core at its step; every
+    frame also keeps one input of each core on at every step, which never
+    overflows."""
+    trains = np.zeros((4, 4, 8), dtype=bool)
+    trains[:, :, [1, 6]] = True
+    for frame, (core, step) in overflows.items():
+        trains[frame, step, 4 * core:4 * core + 4] = True
+    return trains
 
 
 class TestPartCount:
@@ -200,6 +287,41 @@ class TestSplitParity:
                                     collect_stats=False).run(trains)
         assert result.stats.total_operations == 0
 
+    def test_module_level_run_forwards_options(self, dense_program,
+                                               dense_snn, dense_inputs):
+        trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
+        whole = run(dense_program, trains, backend="vectorized")
+        with forced_split():
+            result = run(dense_program, trains, backend="vectorized",
+                         collect_stats=False, optimize=False)
+        np.testing.assert_array_equal(result.spike_counts,
+                                      whole.spike_counts)
+        np.testing.assert_array_equal(result.frame_active_axons,
+                                      whole.frame_active_axons)
+        assert result.stats.total_operations == 0
+
+    def test_one_cpu_runs_whole_on_the_calling_thread(
+            self, dense_program, dense_snn, rng, monkeypatch):
+        """With one CPU no batch splits, however small ``PART_FRAMES``:
+        the run never enters the split path and keeps one whole state."""
+        monkeypatch.setattr(vectorized, "PART_FRAMES", 1)
+        monkeypatch.setattr(vectorized, "CPUS", 1)
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a one-CPU run split")
+
+        monkeypatch.setattr(vectorized, "_run_split", no_split)
+        trains = _batch(rng, dense_snn, 7)
+        with create_backend("vectorized", dense_program) as backend:
+            result = backend.run(trains)
+            assert [(part, state.batch) for part, state
+                    in backend.schedule._kept.items()] == [(0, 7)]
+        with create_backend("reference", dense_program) as reference:
+            expected = reference.run(trains)
+        np.testing.assert_array_equal(result.spike_counts,
+                                      expected.spike_counts)
+        assert result.stats.summary() == expected.stats.summary()
+
     def test_metrics_counters_add_up_over_parts(self, dense_program,
                                                 dense_snn, dense_inputs):
         trains = deterministic_encode(dense_inputs, dense_snn.timesteps)
@@ -291,6 +413,165 @@ class TestSplitThreads:
         for result, want in zip(results, expected * 3):
             _assert_same_run(result, want)
 
+    def test_unsplit_runs_start_no_helpers(self, dense_program, dense_snn,
+                                           rng, monkeypatch):
+        monkeypatch.setattr(vectorized, "_helpers", None)
+        with create_backend("vectorized", dense_program) as backend:
+            for frames in (1, 12):
+                assert part_count(frames) == 1
+                backend.run(_batch(rng, dense_snn, frames))
+        assert vectorized._helpers is None
+
+    def test_helpers_start_once_and_serve_every_backend(
+            self, dense_program, dense_snn, rng, monkeypatch):
+        monkeypatch.setattr(vectorized, "_helpers", None)
+        trains = _batch(rng, dense_snn, 6)
+        try:
+            with forced_split():
+                with create_backend("vectorized", dense_program) as first:
+                    first.run(trains)
+                    helpers = vectorized._helpers
+                    assert helpers is not None
+                    first.run(trains)
+                    assert vectorized._helpers is helpers
+                with create_backend("vectorized", dense_program,
+                                    optimize=False) as second:
+                    second.run(trains)
+                assert vectorized._helpers is helpers
+        finally:
+            if vectorized._helpers is not None:
+                vectorized._helpers.shutdown()
+
+    def test_helpers_survive_a_part_error(self):
+        """A part that raises on a helper thread leaves the helpers to the
+        next run, which is exact."""
+        program = _overflow_program()
+        bad = np.zeros((4, 3, 4), dtype=bool)
+        bad[3] = True  # only frame 3, part 2, overflows
+        # at most two of the four inputs on: every partial sum fits
+        safe = np.random.default_rng(5).random((4, 3, 4)) < 0.6
+        safe[..., 2:] = False
+        with forced_split(), create_backend("vectorized", program) as backend:
+            backend.run(safe)
+            helpers = vectorized._helpers
+            with pytest.raises(NeuronCoreError):
+                backend.run(bad)
+            after = backend.run(safe)
+            assert vectorized._helpers is helpers
+        with create_backend("vectorized", program) as whole:
+            _assert_same_run(after, whole.run(safe))
+        assert after.spike_counts.sum() > 0
+
+    def test_concurrent_split_runs_leave_blas_as_found(
+            self, dense_program, dense_snn, rng, monkeypatch):
+        """Split runs on four threads at once: every part runs on one BLAS
+        thread, and the count the runs found is back afterwards, because
+        no run restores it while another still has it pinned."""
+        controls = vectorized._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS with a known thread getter is loaded")
+        original_counts = _blas_threads()
+        seen = []
+        original = vectorized.execute_schedule
+
+        def spy(*args, **kwargs):
+            seen.append(_blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "execute_schedule", spy)
+        batches = [_batch(rng, dense_snn, 6) for _ in range(4)]
+        backend = create_backend("vectorized", dense_program)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the runs
+        try:
+            for _, set_threads in controls:
+                set_threads(3)
+            with forced_split(), ThreadPoolExecutor(4) as pool:
+                list(pool.map(backend.run, batches * 2, timeout=120))
+            assert _blas_threads() == [3] * len(controls)
+        finally:
+            sys.setswitchinterval(interval)
+            for (_, set_threads), count in zip(controls, original_counts):
+                set_threads(count)
+        assert seen == [[1] * len(controls)] * (8 * 3)
+
+    def test_blas_count_restored_after_a_part_error(self):
+        controls = vectorized._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS with a known thread getter is loaded")
+        original_counts = _blas_threads()
+        program = _overflow_program()
+        try:
+            for _, set_threads in controls:
+                set_threads(3)
+            with forced_split(), \
+                    create_backend("vectorized", program) as backend:
+                with pytest.raises(NeuronCoreError):
+                    backend.run(np.ones((4, 3, 4), dtype=bool))
+            assert _blas_threads() == [3] * len(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, original_counts):
+                set_threads(count)
+
+
+class TestClose:
+    """``close()`` frees every part's kept state; the backend stays
+    usable."""
+
+    def test_close_is_idempotent_and_reruns(self, dense_program, dense_snn,
+                                            rng):
+        trains = _batch(rng, dense_snn, 6)
+        with forced_split():
+            backend = create_backend("vectorized", dense_program)
+            first = backend.run(trains)
+            backend.close()
+            backend.close()
+            assert backend.schedule._kept == {}
+            _assert_same_run(backend.run(trains), first)
+            assert sorted(backend.schedule._kept) == [0, 1, 2]
+            backend.close()
+        assert backend.schedule._kept == {}
+
+    def test_context_manager_drops_every_parts_state(self, dense_program,
+                                                     dense_snn, rng):
+        trains = _batch(rng, dense_snn, 6)
+        with forced_split():
+            with create_backend("vectorized", dense_program) as backend:
+                backend.run(trains)
+                assert sorted(backend.schedule._kept) == [0, 1, 2]
+            assert backend.schedule._kept == {}
+            with pytest.raises(KeyError):
+                with backend:
+                    backend.run(trains)
+                    raise KeyError("leaving the block by an error")
+        assert backend.schedule._kept == {}
+
+    def test_engine_close_closes_cached_backends(self, dense_program,
+                                                 dense_snn, rng):
+        trains = _batch(rng, dense_snn, 6)
+        with forced_split(), ExecutionEngine(dense_program) as engine:
+            engine.run(trains, backend="vectorized")
+            schedule = engine.backend("vectorized").schedule
+            assert sorted(schedule._kept) == [0, 1, 2]
+        assert schedule._kept == {}
+
+    def test_auto_close_propagates_to_delegates(self, dense_program,
+                                                dense_snn, rng):
+        backend = AutoBackend(dense_program)
+        with forced_split():
+            backend.run(_batch(rng, dense_snn, 6))
+            backend.run(_batch(rng, dense_snn, 1))
+        assert backend.last_selection == "reference"
+        schedule = backend.delegate("vectorized").schedule
+        assert sorted(schedule._kept) == [0, 1, 2]
+        backend.close()
+        assert schedule._kept == {}
+
+
+#: the runs each overflowing frame alone must raise identically on
+BACKEND_RUNS = (("reference", {}), ("vectorized", {}),
+                ("vectorized", {"optimize": False}))
+
 
 class TestSplitErrors:
     def test_overflow_class_and_message(self):
@@ -338,6 +619,73 @@ class TestSplitErrors:
                         for _ in range(3)] == [alone[0]] * 3
                 # the raising parts kept nothing; the quiet one kept its own
                 assert sorted(backend.schedule._kept) == [1]
+
+    @pytest.mark.parametrize("case", list(OVERFLOW_CASES))
+    def test_each_frame_alone_and_the_lowest_raising_part(self, case):
+        """Each overflowing frame alone raises one error on every backend.
+        A batch raises the reference's lowest overflowing frame's,
+        unsplit ``vectorized``'s earliest step's, and split, the lowest
+        raising part's (within it, the earliest step's) on every run:
+        the error that part's frames raise run whole."""
+        overflows = OVERFLOW_CASES[case]
+        program = _overflow_program(tiles=2)
+        trains = _overflow_trains(overflows)
+        alone = {}
+        for frame in overflows:
+            errors = {_error_of(create_backend(name, program, **options),
+                                trains[frame:frame + 1])
+                      for name, options in BACKEND_RUNS}
+            assert len(errors) == 1
+            alone[frame] = errors.pop()
+            assert alone[frame][0] is NeuronCoreError
+            core = overflows[frame][0]
+            assert f"(0, {core})" in alone[frame][1]
+
+        def earliest(frames):
+            """The errors of those of ``frames`` that overflow first."""
+            step = min(overflows[frame][1] for frame in frames)
+            return {alone[frame] for frame in frames
+                    if overflows[frame][1] == step}
+
+        assert _error_of(create_backend("reference", program), trains) == \
+            alone[min(overflows)]
+        assert _error_of(create_backend("vectorized", program), trains) in \
+            earliest(overflows)
+        part = next(part for part in SPLIT_PARTS if set(part) & set(overflows))
+        with forced_split():
+            with create_backend("vectorized", program) as backend:
+                errors = [_error_of(backend, trains) for _ in range(3)]
+        assert errors == [errors[0]] * 3
+        assert errors[0] in earliest([frame for frame in part
+                                      if frame in overflows])
+        assert errors[0] == _error_of(create_backend("vectorized", program),
+                                      trains[list(part)])
+
+    def test_a_raising_part_waits_for_every_other_part(self, monkeypatch):
+        """Part 0 raises at once while the helper parts are still running:
+        the error surfaces only after they finished and kept their
+        states."""
+        program = _overflow_program()
+        trains = np.zeros((4, 3, 4), dtype=bool)
+        trains[0] = True  # frame 0, part 0, overflows at step 0
+        finished = []
+        original = vectorized.execute_schedule
+
+        def slow_helpers(schedule, spike_trains, collector=None,
+                         metrics=None, part=0):
+            if part:
+                time.sleep(0.2)  # well after part 0 raised
+            result = original(schedule, spike_trains, collector, metrics,
+                              part)
+            finished.append(part)
+            return result
+
+        monkeypatch.setattr(vectorized, "execute_schedule", slow_helpers)
+        with forced_split(), create_backend("vectorized", program) as backend:
+            with pytest.raises(NeuronCoreError):
+                backend.run(trains)
+            assert sorted(finished) == [1, 2]
+            assert sorted(backend.schedule._kept) == [1, 2]
 
     @pytest.mark.parametrize("split", [False, True])
     def test_run_after_overflow_matches_fresh(self, split):
@@ -558,6 +906,92 @@ class TestAutoSelection:
         vectorized_result = run(dense_program, trains, backend="vectorized")
         np.testing.assert_array_equal(result.spike_counts,
                                       vectorized_result.spike_counts)
+
+    def test_auto_splits_large_batches(self, dense_program, dense_snn, rng):
+        """``auto`` hands a large batch to ``vectorized``, which splits it
+        itself."""
+        trains = _batch(rng, dense_snn, 7)
+        probes = ProbeSet.full()
+        backend = AutoBackend(dense_program)
+        with forced_split():
+            result = backend.run(trains, probes=probes)
+        assert backend.last_selection == "vectorized"
+        kept = backend.delegate("vectorized").schedule._kept
+        assert [kept[part].batch for part in range(3)] == [3, 2, 2]
+        with create_backend("vectorized", dense_program) as whole:
+            _assert_same_run(result, whole.run(trains, probes=probes))
+
+
+@pytest.mark.parametrize("optimize_noc", [False, True])
+@pytest.mark.parametrize("name", SMALL_BUILDERS)
+class TestEveryBuilder:
+    """On every small builder and both pipelines, a split run's kept
+    states and a failed split run never reach a later run's results
+    (``tests/test_opt_parity.py`` holds the split equal to whole runs and
+    the reference)."""
+
+    def test_kept_part_states_match_fresh_runs(self, name, optimize_noc):
+        """7, 7, 4, 2, 4 and 7 frames through one split backend: parts
+        reuse their kept states where the frame counts match and
+        allocate where not, and each run equals an unsplit run from a
+        fresh state."""
+        program, trains = _builder_case(name, optimize_noc)
+        sequence = (trains, trains[::-1], trains[:4], trains[3:5],
+                    trains[1:5], trains)
+        probes = ProbeSet.full()
+        with create_backend("vectorized", program) as whole:
+            expected = []
+            for batch in sequence:
+                whole.close()  # every expected run starts afresh
+                expected.append(whole.run(batch, probes=probes))
+        with forced_split(), create_backend("vectorized", program) as backend:
+            for batch, want in zip(sequence, expected):
+                _assert_same_run(backend.run(batch, probes=probes), want)
+
+    def test_run_after_a_part_error_matches_fresh(self, name, optimize_noc):
+        """Part 1 raises halfway through a run, its state half written:
+        it keeps nothing, and the next run equals an unsplit run."""
+        program, trains = _builder_case(name, optimize_noc)
+        probes = ProbeSet.full()
+        with create_backend("vectorized", program) as whole:
+            expected = whole.run(trains, probes=probes)
+        with forced_split(), create_backend("vectorized", program) as backend:
+            backend.run(trains)
+            with pytest.MonkeyPatch.context() as patch:
+                _fail_part(patch, failing=1)
+                with pytest.raises(RuntimeError, match="at step 2"):
+                    backend.run(trains, probes=probes)
+            assert sorted(backend.schedule._kept) == [0, 2]
+            _assert_same_run(backend.run(trains, probes=probes), expected)
+            assert sorted(backend.schedule._kept) == [0, 1, 2]
+
+    def test_auto_one_frame_matches_its_split_batch(self, name,
+                                                    optimize_noc):
+        """``auto`` runs one frame on ``reference`` and a batch on
+        ``vectorized``, split: frame 0 of the batch equals the one-frame
+        run in counts, prediction, statistics and probe captures."""
+        program, trains = _builder_case(name, optimize_noc)
+        probes = ProbeSet.full()
+        with forced_split(), AutoBackend(program) as backend:
+            single = backend.run(trains[:1], probes=probes)
+            assert backend.last_selection == "reference"
+            batch = backend.run(trains, probes=probes)
+            assert backend.last_selection == "vectorized"
+            schedule = backend.delegate("vectorized").schedule
+            assert sorted(schedule._kept) == [0, 1, 2]
+            frame_stats = schedule.build_stats(
+                1, trains.shape[1], batch.frame_active_axons[0])
+        np.testing.assert_array_equal(batch.spike_counts[:1],
+                                      single.spike_counts)
+        assert batch.predictions[0] == single.predictions[0]
+        assert frame_stats.summary() == single.stats.summary()
+        ours, theirs = batch.probes.frame(0), single.probes
+        for attr in ("spikes", "potentials", "acc_active"):
+            mine, base = getattr(ours, attr), getattr(theirs, attr)
+            assert set(mine) == set(base)
+            for layer in mine:
+                np.testing.assert_array_equal(mine[layer], base[layer])
+        assert ours.telemetry.as_dict() == theirs.telemetry.as_dict()
 
 
 @pytest.mark.slow

@@ -123,6 +123,22 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="cycle"):
             graph.validate()
 
+    def test_cycle_through_a_join_of_one_node_twice_detected(self, rng):
+        """Counting each producer once must not hide a cycle through a join
+        that reads its producer twice."""
+        graph = LayerGraph("twice", (6, 6, 2), timesteps=4)
+        head = graph.add_layer(_conv(rng, "head", (6, 6, 2), 3))
+        join = graph.add_join(
+            "j", [(_conv(rng, "wide", (6, 6, 3), 3), head),
+                  (_conv(rng, "narrow", (6, 6, 3), 3, k=1, pad=0), head)])
+        graph.add_layer(_dense(rng, "fc", 108, 4), input=join)
+        graph.validate()
+        # tamper: make head read from the join, creating a 2-cycle
+        graph.nodes[head].inputs = (join,)
+        with pytest.raises(GraphError,
+                           match=r"cycle through \['fc', 'head', 'j'\]"):
+            graph.validate()
+
     def test_describe_lists_nodes(self, rng):
         graph = LayerGraph("toy", (12,))
         graph.add_layer(_dense(rng, "a", 12, 8))

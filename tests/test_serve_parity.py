@@ -163,6 +163,32 @@ def test_split_batch_coalescing_bit_exact():
         assert_served_bit_exact(response, baselines[index])
 
 
+@pytest.mark.parametrize("name", PARITY_BUILDERS)
+@pytest.mark.parametrize("seed", (0, 1))
+def test_randomized_split_coalescing_bit_exact(name, seed):
+    """Random arrival order x random batch budget, every batch of two or
+    more frames split into frame parts: every frame exact."""
+    compiled, trains, baselines = case_for(name)
+    rng = np.random.default_rng(seed)
+    order = [int(i) for i in rng.permutation(FRAMES)]
+    policy = ServePolicy(batch_window=SLOW_WINDOW,
+                         max_batch=int(rng.integers(2, FRAMES + 1)),
+                         queue_limit=FRAMES)
+    with forced_split(), Session("split", compiled, policy,
+                                 probes=ProbeSet.full()) as session:
+        handles = [session.submit(trains[index]) for index in order]
+        responses = serve_all(session, handles)
+        # the last batch ran as min(3, its size) parts, one state each
+        kept = session.engine.backend("vectorized").schedule._kept
+        assert len(kept) == min(3, session.last_batch_size)
+    for index, response in zip(order, responses):
+        assert_served_bit_exact(response, baselines[index])
+        assert response.batch_size <= policy.max_batch
+    dispatched = [seq for _, sequences in session.batch_log
+                  for seq in sequences]
+    assert dispatched == sorted(dispatched) == list(range(FRAMES))
+
+
 # ----------------------------------------------------------------------
 # Concurrency: many client threads, nothing lost, nothing wrong
 # ----------------------------------------------------------------------

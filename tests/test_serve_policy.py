@@ -239,6 +239,51 @@ class TestBackendChoice:
         assert set(key[0] for key in session.engine._instances) == \
             {"vectorized"}
 
+    def test_coalesced_heavy_load_runs_vectorized_whole(self, case,
+                                                        monkeypatch):
+        """A full coalesced batch runs on ``vectorized`` like a lone frame
+        does, unsplit (a served batch is far below ``2 * PART_FRAMES``),
+        and every frame equals its own one-frame serving."""
+        from repro.engine import vectorized
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a served batch split")
+
+        monkeypatch.setattr(vectorized, "_run_split", no_split)
+        compiled, trains = case
+        policy = ServePolicy(batch_window=SLOW_WINDOW, max_batch=FRAMES)
+        with Session("heavy", compiled, policy) as session:
+            handles = [session.submit(trains[index])
+                       for index in range(FRAMES)]
+            responses = pump(session, handles)
+            assert session.batch_log == [("vectorized",
+                                          tuple(range(FRAMES)))]
+            assert session.last_batch_size == FRAMES
+        assert {response.backend for response in responses} == \
+            {"vectorized"}
+        with Session("relight", compiled,
+                     ServePolicy(batch_window=0.0)) as session:
+            single = [session.infer(trains[index], timeout=60.0)
+                      for index in range(FRAMES)]
+        for served, solo in zip(responses, single):
+            assert np.array_equal(served.spike_counts, solo.spike_counts)
+            assert served.prediction == solo.prediction
+            assert served.stats.summary() == solo.stats.summary()
+
+    def test_backend_lowered_at_load_time(self, case):
+        """Opening a session lowers the ``vectorized`` schedule, so the
+        first request is served at steady-state latency; nothing runs
+        before a request does."""
+        compiled, _ = case
+        with Session("warm", compiled,
+                     ServePolicy(batch_window=SLOW_WINDOW)) as session:
+            instances = session.engine._instances
+            assert [key[0] for key in instances] == ["vectorized"]
+            backend, = instances.values()
+            assert backend.schedule.ops
+            assert backend.schedule._kept == {}
+            assert session.served == 0 and session.batch_log == []
+
 
 # ----------------------------------------------------------------------
 # Metrics surface
